@@ -45,7 +45,14 @@ from .ifs import (
     CantorPoint,
     word_from_left_endpoint,
 )
-from .lemmas import ChildIndex, TripleBox, base_boxes, child_box, refine_step
+from .lemmas import (
+    ChildIndex,
+    TripleBox,
+    base_boxes,
+    child_box,
+    refine_scaled,
+    scaled_box,
+)
 from .numerics import Interval, Rational, RationalLike, rat
 
 CERTIFICATE_SCHEMA = "cantor-four-squares/1"
@@ -274,17 +281,26 @@ def decompose_three(
         raise ValueError("depth must be nonnegative")
     box, _ = _select_base(params, band, target)
     words = _box_words(params, box)
+    p = params.ratio.numerator
+    q = params.ratio.denominator
+    lefts, width, scale = scaled_box(params, box)
+    num = target.numerator * scale * scale
+    den = target.denominator
     trace = []
     for _ in range(depth):
-        index = refine_step(params, box, target)
+        index, lefts = refine_scaled(p, q, lefts, width, num, den)
         trace.append(index)
-        words = tuple(
-            word + ("2" if bit else "1") for word, bit in zip(words, index)
-        )
-        box = child_box(params, box, index)
+        width *= p
+        num *= q * q
+        scale *= q
+    box = TripleBox(tuple(Fraction(u, scale) for u in lefts), box.level + depth)
     img = box.image(params)
     tail = ALL_RIGHT if target == img.hi else ALL_LEFT
-    points = tuple(CantorPoint(word, tail) for word in words)
+    points = tuple(
+        CantorPoint(word + "".join("2" if index[pos] else "1" for index in trace),
+                    tail)
+        for pos, word in enumerate(words)
+    )
     return ThreeSquareResult(points, box, img.hi - img.lo, tuple(trace))
 
 
@@ -332,6 +348,9 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
+        """Parse a certificate, strictly: counts must be JSON integers
+        (not booleans), rationals and the case tag strings, and points,
+        values and trace lists; anything else raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("certificate JSON must be an object")
         if data.get("schema") != CERTIFICATE_SCHEMA:
@@ -339,27 +358,57 @@ class Certificate:
                 "unsupported certificate schema %r" % (data.get("schema"),)
             )
         try:
-            points = tuple(CantorPoint.from_json(p) for p in data["points"])
-            values = tuple(rat(v) for v in data["values"])
+            points = tuple(
+                CantorPoint.from_json(p) for p in _json_field(data, "points", list)
+            )
+            values = tuple(
+                _json_rational(v, "values") for v in _json_field(data, "values", list)
+            )
             trace = []
-            for item in data["trace"]:
-                if len(item) != 3 or any(ch not in "01" for ch in item):
+            for item in _json_field(data, "trace", list):
+                if not isinstance(item, str) or len(item) != 3 or any(
+                    ch not in "01" for ch in item
+                ):
                     raise ValueError("bad trace entry %r" % (item,))
                 trace.append(tuple(int(ch) for ch in item))
             return cls(
-                alpha=rat(data["alpha"]),
-                x=rat(data["x"]),
+                alpha=_json_rational(data["alpha"], "alpha"),
+                x=_json_rational(data["x"], "x"),
                 points=points,
                 values=values,
-                residual=rat(data["residual"]),
-                bound=rat(data["bound"]),
-                depth=int(data["depth"]),
-                scaling=int(data["scaling"]),
-                case=str(data["case"]),
+                residual=_json_rational(data["residual"], "residual"),
+                bound=_json_rational(data["bound"], "bound"),
+                depth=_json_field(data, "depth", int),
+                scaling=_json_field(data, "scaling", int),
+                case=_json_field(data, "case", str),
                 trace=tuple(trace),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError("malformed certificate: %s" % (exc,)) from exc
+
+
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _json_field(data: dict, key: str, kind: type):
+    """``data[key]``, required to be of JSON type ``kind``; booleans are
+    refused where an integer is expected."""
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(
+            "certificate field %r must be %s, got %r"
+            % (key, _JSON_TYPE_NAMES[kind], value)
+        )
+    return value
+
+
+def _json_rational(value, key: str) -> Rational:
+    if not isinstance(value, str):
+        raise ValueError(
+            "certificate field %r must hold rationals as strings, got %r"
+            % (key, value)
+        )
+    return rat(value)
 
 
 def decompose_four(
@@ -535,10 +584,14 @@ def verify_certificate(params: CantorParams, cert: Certificate) -> VerificationR
     if power < 0:
         return fail("negative scale power in case tag")
 
-    expected = _expected_fourth_point(params, kind, band, power)
-    if expected is None:
+    # Structural checks first, so that no work below grows with a number
+    # the certificate merely states: the fourth point's prefix is the
+    # scaling prefix plus the digits its case tag implies.
+    n = power + 1 if band is Band.LOW else power
+    tag_digits = {"one": 0, "zero": 0, "edge0": 1, "edge1": 2 * n, "edge2": 2 * n}
+    if kind not in tag_digits:
         return fail("invalid case combination %r" % (cert.case,))
-    if cert.points[3] != expected.with_scaling_prefix(cert.scaling):
+    if len(cert.points[3].prefix) != cert.scaling + tag_digits[kind]:
         return fail("fourth point does not match case tag %r" % (cert.case,))
 
     r = params.ratio
@@ -546,6 +599,19 @@ def verify_certificate(params: CantorParams, cert: Certificate) -> VerificationR
     if not (1 - r) ** 2 < y <= 4:
         return fail("scaling %d does not reduce x into ((1-r)^2, 4]"
                     % (cert.scaling,))
+    if kind == "edge0":
+        # t = y - (1-r)^2 must satisfy t / r^(2*power) <= 3 with r < 1/2,
+        # so 4^power < 3/t, which bounds power by the bit lengths of t.
+        t = y - (1 - r) ** 2
+        if 2 * power > t.denominator.bit_length() - t.numerator.bit_length() + 3:
+            return fail("scale power %d too large for case tag %r"
+                        % (power, cert.case))
+
+    expected = _expected_fourth_point(params, kind, band, power)
+    if expected is None:
+        return fail("invalid case combination %r" % (cert.case,))
+    if cert.points[3] != expected.with_scaling_prefix(cert.scaling):
+        return fail("fourth point does not match case tag %r" % (cert.case,))
     t_base = (y - expected.value(params) ** 2) / r ** (2 * power)
     base = band_interval(params, band)
     if not base.contains_value(t_base):

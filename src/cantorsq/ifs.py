@@ -100,17 +100,22 @@ def params_from_ratio(ratio: RationalLike) -> CantorParams:
 def word_left_endpoint(params: CantorParams, word: str) -> Rational:
     """Left endpoint of the basic interval addressed by ``word``.
 
-    Evaluates the word right to left: starting from 0, digit 1 applies the
-    left map and digit 2 the right map, which reproduces
-    ((1 - r)/r) * sum_k (sigma_k - 1) r^k without building powers.
+    With ratio = p/q the value times q^len(word) is an integer; Horner's
+    rule builds it left to right as acc -> acc*q + [digit 2]*(q-p)*p^k
+    for the k-th digit, reproducing ((1 - r)/r) * sum_k (sigma_k - 1) r^k
+    with a single reduction to lowest terms at the end.
     """
     check_word(word)
-    r = params.ratio
-    offset = 1 - r
-    x = Fraction(0)
-    for digit in reversed(word):
-        x = r * x + (offset if digit == "2" else 0)
-    return x
+    p = params.ratio.numerator
+    q = params.ratio.denominator
+    step = q - p
+    acc = 0
+    for digit in word:
+        acc *= q
+        if digit == "2":
+            acc += step
+        step *= p
+    return Fraction(acc, q ** len(word))
 
 
 @lru_cache(maxsize=64)

@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
 
 from .errors import CapExceeded, InternalInconsistencyError
 from .ifs import CantorParams, _level_ints
@@ -157,6 +156,8 @@ def _distinct_sums(ints: tuple, arity: int) -> list:
     if arity == 1:
         return list(ints)
     if ints[-1] * arity < _INT64_LIMIT:
+        import numpy as np  # deferred: only image requests need numpy
+
         arr = np.fromiter(ints, dtype=np.int64, count=len(ints))
         acc = arr
         for _ in range(arity - 1):
@@ -172,6 +173,8 @@ def _distinct_sums(ints: tuple, arity: int) -> list:
 def _distinct_diffs(ints: tuple) -> list:
     """Sorted distinct ordered-pair differences of ``ints``, exact."""
     if ints[-1] < _INT64_LIMIT:
+        import numpy as np  # deferred: only image requests need numpy
+
         arr = np.fromiter(ints, dtype=np.int64, count=len(ints))
         return [int(v) for v in np.unique(np.subtract.outer(arr, arr).ravel())]
     return sorted({a - b for a in ints for b in ints})

@@ -27,8 +27,10 @@ both requiring the thick regime ratio >= 1/3:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Tuple
 
 from .errors import InternalInconsistencyError, ThinRegimeError
@@ -175,6 +177,75 @@ def verify_overlap_lemma(params: CantorParams, box: TripleBox) -> bool:
     return union == IntervalUnion([box.image(params)])
 
 
+def scaled_box(params: CantorParams, box: TripleBox) -> tuple:
+    """The integer-scaled form (lefts, width, scale) of ``box``.
+
+    ``scale`` is the least multiple of q^n (ratio = p/q, n = box level)
+    that clears every left endpoint's denominator; ``lefts`` are the
+    endpoints times ``scale`` and ``width`` = r^n * scale.  For a genuine
+    level-n box the scale is q^n and the width p^n.
+    """
+    p = params.ratio.numerator
+    q = params.ratio.denominator
+    scale = q**box.level
+    for x in box.lefts:
+        scale = math.lcm(scale, x.denominator)
+    lefts = tuple(x.numerator * (scale // x.denominator) for x in box.lefts)
+    return lefts, p**box.level * (scale // q**box.level), scale
+
+
+def refine_scaled(
+    p: int, q: int, lefts: tuple, width: int, num: int, den: int
+) -> Tuple[ChildIndex, tuple]:
+    """One refinement step on an integer-scaled box, ratio p/q.
+
+    The box has left endpoints lefts[i]/S and side width/S for some
+    common scale S, and the target is num/(den*S^2) with den > 0, so the
+    box image scaled by S^2 is [sum U^2, sum (U + width)^2].  Checks the
+    descent condition 2(q-p)*max U + (q-2p)*width <= q*sum U and that the
+    target lies in the box image, then scans the 8 children in the
+    canonical order of :func:`refine_step`.
+
+    Returns the chosen index (caller's coordinate order) and the child's
+    left endpoints at scale S*q: U*q + bit*(q-p)*width.  The child's
+    width is width*p and its target numerator num*q*q.
+    """
+    if 3 * p < q:
+        raise ThinRegimeError(
+            "subdivision conditions need ratio >= 1/3, got %d/%d" % (p, q)
+        )
+    a, b, c = lefts
+    if 2 * (q - p) * max(lefts) + (q - 2 * p) * width > q * (a + b + c):
+        raise ValueError("descent condition does not hold")
+    lo = a * a + b * b + c * c
+    hi = (a + width) ** 2 + (b + width) ** 2 + (c + width) ** 2
+    if not lo * den <= num <= hi * den:
+        raise ValueError("target outside the box image")
+    order = sorted(range(3), key=lambda i: (-lefts[i], i))
+    step = (q - p) * width
+    kid_width = width * p
+    kid_num = num * q * q
+    # Per sorted position and bit: (child left, its lo and hi squares * den).
+    options = []
+    for i in order:
+        pair = []
+        for left in (lefts[i] * q, lefts[i] * q + step):
+            pair.append((left, left * left * den, (left + kid_width) ** 2 * den))
+        options.append(pair)
+    for index in CHILD_INDICES:
+        x, y, z = (options[pos][bit] for pos, bit in enumerate(index))
+        if x[1] + y[1] + z[1] <= kid_num <= x[2] + y[2] + z[2]:
+            out = [0, 0, 0]
+            kid = [0, 0, 0]
+            for pos, original in enumerate(order):
+                out[original] = index[pos]
+                kid[original] = options[pos][index[pos]][0]
+            return tuple(out), tuple(kid)
+    raise InternalInconsistencyError(
+        "no child image contains the target although the tiling condition holds"
+    )
+
+
 def refine_step(params: CantorParams, box: TripleBox, target) -> ChildIndex:
     """Pick the child box whose image contains ``target``.
 
@@ -184,27 +255,25 @@ def refine_step(params: CantorParams, box: TripleBox, target) -> ChildIndex:
     lexicographic index order in that orientation, and the first hit is
     mapped back to the caller's coordinate order.  The returned child
     satisfies the descent condition again, so refinement never stalls.
+    Runs :func:`refine_scaled` on the box's integer-scaled form.
     """
     target = rat(target)
-    if not cond_invariant(params, box):
-        raise ValueError("descent condition does not hold for %r" % (box,))
-    parent = box.image(params)
-    if not parent.contains_value(target):
-        raise ValueError("target %s outside parent image %r" % (target, parent))
-    order = sorted(range(3), key=lambda c: (-box.lefts[c], c))
-    sorted_box = TripleBox(tuple(box.lefts[c] for c in order), box.level)
-    for index in CHILD_INDICES:
-        img = child_box(params, sorted_box, index).image(params)
-        if img.lo <= target <= img.hi:
-            out = [0, 0, 0]
-            for sorted_pos, original in enumerate(order):
-                out[original] = index[sorted_pos]
-            return tuple(out)
-    raise InternalInconsistencyError(
-        "no child image contains %s although the tiling condition holds" % (target,)
-    )
+    lefts, width, scale = scaled_box(params, box)
+    try:
+        index, _ = refine_scaled(
+            params.ratio.numerator,
+            params.ratio.denominator,
+            lefts,
+            width,
+            target.numerator * scale * scale,
+            target.denominator,
+        )
+    except ValueError as exc:
+        raise ValueError("%s: box %r, target %s" % (exc, box, target)) from None
+    return index
 
 
+@lru_cache(maxsize=32)
 def base_boxes(params: CantorParams) -> tuple:
     """The three seed boxes of the decomposition, with their exact images.
 
@@ -218,7 +287,8 @@ def base_boxes(params: CantorParams) -> tuple:
     The first two chain into [2*(1-r)^2, 3]; the third supplies the lower
     band that the fourth-coordinate scan needs.  Every seed satisfies the
     descent condition throughout the thick regime; violation would mean a
-    bug, not bad input.
+    bug, not bad input.  Memoised per parameters: the result is immutable
+    and every decomposition needs it several times.
     """
     _require_thick(params)
     r = params.ratio

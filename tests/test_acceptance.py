@@ -20,12 +20,14 @@ pinned to zero except where a criterion names an explicit cap:
      forms with the stated signs (ratios 1/3, 2/5, 49/100, depths
      1..10);
   8. two full seeded re-runs of the criterion-6 sweep, with caches
-     cleared in between, produce byte-identical certificate files.
+     cleared in between, produce byte-identical certificate files, and
+     those bytes match a pinned golden SHA-256.
 
 The summary hook in conftest.py prints one PASS/FAIL line per criterion
 at the end of the run.
 """
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -59,6 +61,7 @@ from cantorsq import (
 )
 import cantorsq.ifs
 import cantorsq.images
+import cantorsq.lemmas
 
 F = Fraction
 
@@ -66,6 +69,12 @@ SWEEP_SEED = 20260819
 SWEEP_COUNT = 1000
 SWEEP_DEPTH = 40
 RESIDUAL_CAP = 6 * F(1, 3) ** 40
+
+#: SHA-256 and size of the concatenated canonical JSON of the sweep's
+#: certificates: any change to the arithmetic that alters a certificate
+#: shows up here.
+GOLDEN_SHA256 = "8408f88133abb80327260dda39020179d5fe0ec0bfcd8ebde2a02333ae3e5832"
+GOLDEN_BYTES = 881321
 
 BOUNDARY_INPUTS = (
     F(0), F(4), F(4, 9), F(8, 9), F(17, 9),
@@ -124,6 +133,7 @@ def closed_form_child_images(params, box):
 def clear_caches():
     cantorsq.ifs._level_ints.cache_clear()
     cantorsq.images._image_core.cache_clear()
+    cantorsq.lemmas.base_boxes.cache_clear()
 
 
 def test_criterion_1_sum_and_difference_images():
@@ -305,3 +315,6 @@ def test_criterion_8_certificate_determinism(tmp_path):
         path.write_text(blob, encoding="ascii")
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    data = paths[0].read_bytes()
+    assert len(data) == GOLDEN_BYTES
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256

@@ -168,6 +168,21 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert json.loads(out)["error"]["kind"] == "usage"
 
+    @pytest.mark.parametrize("key, value", [
+        ("depth", "12"), ("depth", 12.0), ("depth", True), ("scaling", "0"),
+    ])
+    def test_mistyped_certificate_field(self, capsys, tmp_path, key, value):
+        path = tmp_path / "cert.json"
+        code, _ = run_cli(capsys, "decompose", "--x", "7/13", "--depth", "12",
+                          "--out", str(path))
+        assert code == EXIT_OK
+        data = json.loads(path.read_text())
+        data[key] = value
+        path.write_text(json.dumps(data))
+        code, out = run_cli(capsys, "verify", str(path))
+        assert code == EXIT_USAGE
+        assert json.loads(out)["error"]["kind"] == "usage"
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["bogus"])

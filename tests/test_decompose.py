@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -269,6 +270,22 @@ class TestCertificateJson:
         with pytest.raises(ValueError):
             Certificate.from_json_dict([])
 
+    @pytest.mark.parametrize("key, value", [
+        ("depth", "12"),
+        ("depth", 12.0),
+        ("depth", True),
+        ("scaling", "0"),
+        ("case", 7),
+        ("x", 1),
+        ("values", [0, 0, 0, 0]),
+        ("trace", [["0", "0", "1"]]),
+    ])
+    def test_strict_field_types(self, params3, key, value):
+        data = json.loads(decompose_four(params3, F(7, 13), depth=1).canonical_json())
+        data[key] = value
+        with pytest.raises(ValueError):
+            Certificate.from_json_dict(data)
+
 
 class TestVerifier:
     @pytest.fixture()
@@ -346,6 +363,20 @@ class TestVerifier:
     def test_x_out_of_range(self, params3, cert):
         bad = dataclasses.replace(cert, x=F(9, 2))
         assert not verify_certificate(params3, bad).ok
+
+    @pytest.mark.parametrize("x, kind", [
+        (F(2, 3), "edge0"), (F(4, 5), "edge1"), (F(1, 2), "edge2"),
+    ])
+    def test_huge_case_power_rejected_fast(self, params3, x, kind):
+        cert = decompose_four(params3, x, depth=4)
+        assert cert.case.startswith(kind + ":")
+        for band in ("low", "main"):
+            bad = dataclasses.replace(cert, case="%s:%s:%d" % (kind, band, 10**7))
+            start = time.perf_counter()
+            result = verify_certificate(params3, bad)
+            elapsed = time.perf_counter() - start
+            assert not result.ok
+            assert elapsed < 0.5, "rejecting %s took %.2f s" % (bad.case, elapsed)
 
     def test_zero_case_must_be_zero(self, params3):
         cert = decompose_four(params3, 0)

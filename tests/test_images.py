@@ -5,11 +5,15 @@ merging; the reference route here walks plain cartesian products of
 Fraction endpoints.  Agreement of the two is the point of the module.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import cantorsq
 from cantorsq import (
     CapExceeded,
     Interval,
@@ -194,3 +198,13 @@ class TestCoverReport:
         report = cover_report(params3, claimed, 4, 2)
         assert not report.passed
         assert all(not ok for _, ok in report.rows)
+
+
+def test_import_leaves_numpy_unloaded():
+    """numpy is imported by the first image request, not by the package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cantorsq.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cantorsq, cantorsq.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
