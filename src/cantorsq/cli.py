@@ -169,7 +169,6 @@ def cmd_image(config: CliConfig, args: argparse.Namespace) -> int:
         "union": union.to_json(),
         "measure": str(union.measure()),
         "boxes_enumerated": enumeration_count(request),
-        "elapsed_ms": round(elapsed_ms, 3),
     }
     if config.output == "json":
         _emit_json(payload)
@@ -184,10 +183,11 @@ def cmd_image(config: CliConfig, args: argparse.Namespace) -> int:
                 % (part.lo, part.hi, _preview(part.lo), _preview(part.hi))
             )
         print(
-            "measure %s ~ %s, %d boxes, %.3f ms"
+            "measure %s ~ %s, %d boxes"
             % (union.measure(), _preview(union.measure()),
-               payload["boxes_enumerated"], elapsed_ms)
+               payload["boxes_enumerated"])
         )
+    print("elapsed_ms %.3f" % elapsed_ms, file=sys.stderr)
     return EXIT_OK
 
 

@@ -518,6 +518,38 @@ def _expected_fourth_point(
     return None
 
 
+#: Rationals with a numerator or denominator longer than this many bits
+#: are described by their size in failure reasons: by default CPython
+#: refuses to convert an int of more than 4300 digits (~14,300 bits) to text.
+_REASON_BITS = 10_000
+
+
+def _brief(value: Rational) -> str:
+    """``str(value)``, or its size when its digits are too long to print."""
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if bits > _REASON_BITS:
+        return "<rational of %d bits>" % bits
+    return str(value)
+
+
+def _verify_zero_case(cert: Certificate) -> VerificationResult:
+    """The ``x=0`` certificate: x, every value, the residual and the bound
+    are zero, the trace is empty, and every point is zero, which for an
+    attractor point means a prefix of left-map digits only (each right-map
+    digit adds a positive term) and the all-left tail."""
+    reasons = []
+    if cert.x != 0:
+        reasons.append("zero case with x=%s" % (_brief(cert.x),))
+    for pos, point in enumerate(cert.points):
+        if point.tail != ALL_LEFT or point.prefix.strip("1"):
+            reasons.append("point %d is not zero in the zero case" % (pos,))
+    if (any(v != 0 for v in cert.values) or cert.residual != 0
+            or cert.bound != 0 or cert.trace):
+        reasons.append("zero case must have zero values, zero residual, "
+                       "zero bound and an empty trace")
+    return VerificationResult(not reasons, tuple(reasons))
+
+
 def verify_certificate(params: CantorParams, cert: Certificate) -> VerificationResult:
     """Re-derive a certificate's claims from its words alone.
 
@@ -525,6 +557,9 @@ def verify_certificate(params: CantorParams, cert: Certificate) -> VerificationR
     values, and the bound and band membership by replaying the trace from
     the seed box.  Shares none of the decomposer's arithmetic: this is
     the independent audit path for certificates from untrusted sources.
+    The case tag, the prefix lengths and the trace length are checked
+    before any value is recomputed, and a failure never raises: reasons
+    describe rationals too long to print by their size.
     """
     reasons = []
 
@@ -534,40 +569,15 @@ def verify_certificate(params: CantorParams, cert: Certificate) -> VerificationR
 
     if cert.alpha != params.alpha:
         return fail("alpha mismatch: certificate %s, parameters %s"
-                    % (cert.alpha, params.alpha))
+                    % (_brief(cert.alpha), _brief(params.alpha)))
     if not 0 <= cert.x <= 4:
-        return fail("x=%s outside [0, 4]" % (cert.x,))
+        return fail("x=%s outside [0, 4]" % (_brief(cert.x),))
     if len(cert.points) != 4 or len(cert.values) != 4:
         return fail("certificate must list exactly 4 points and 4 values")
     if cert.depth < 0 or cert.scaling < 0:
         return fail("negative depth or scaling")
-
-    for pos, (point, value) in enumerate(zip(cert.points, cert.values)):
-        recomputed = point.value(params)
-        if recomputed != value:
-            reasons.append(
-                "point %d value mismatch: word gives %s, certificate says %s"
-                % (pos, recomputed, value)
-            )
-    residual = cert.x - sum((v * v for v in cert.values), Fraction(0))
-    if residual != cert.residual:
-        reasons.append(
-            "residual mismatch: recomputed %s, certificate says %s"
-            % (residual, cert.residual)
-        )
-    if not 0 <= residual <= cert.bound:
-        reasons.append(
-            "residual %s outside [0, bound=%s]" % (residual, cert.bound)
-        )
-    if reasons:
-        return VerificationResult(False, tuple(reasons))
-
     if cert.case == _ZERO_CASE:
-        if cert.x != 0:
-            reasons.append("zero case with x=%s" % (cert.x,))
-        if any(v != 0 for v in cert.values) or cert.bound != 0 or cert.trace:
-            reasons.append("zero case must have zero values, zero bound, empty trace")
-        return VerificationResult(not reasons, tuple(reasons))
+        return _verify_zero_case(cert)
 
     if not params.thick:
         return fail("nonzero certificates require alpha >= 3")
@@ -585,14 +595,47 @@ def verify_certificate(params: CantorParams, cert: Certificate) -> VerificationR
         return fail("negative scale power in case tag")
 
     # Structural checks first, so that no work below grows with a number
-    # the certificate merely states: the fourth point's prefix is the
-    # scaling prefix plus the digits its case tag implies.
+    # the certificate merely states: every prefix length follows from the
+    # scaling, the case tag and the depth, and the trace has one entry
+    # per subdivision.  The fourth point's prefix is the scaling prefix
+    # plus the digits its case tag implies; a band point's prefix is the
+    # lift (scaling + power) plus its seed box's level plus the depth.
     n = power + 1 if band is Band.LOW else power
     tag_digits = {"one": 0, "zero": 0, "edge0": 1, "edge1": 2 * n, "edge2": 2 * n}
     if kind not in tag_digits:
         return fail("invalid case combination %r" % (cert.case,))
     if len(cert.points[3].prefix) != cert.scaling + tag_digits[kind]:
         return fail("fourth point does not match case tag %r" % (cert.case,))
+    seed_level = 2 if band is Band.LOW else 1
+    band_digits = cert.scaling + power + seed_level + cert.depth
+    for pos, point in enumerate(cert.points[:3]):
+        if len(point.prefix) != band_digits:
+            return fail("point %d prefix has %d digits; scaling, case tag and "
+                        "depth give %d" % (pos, len(point.prefix), band_digits))
+    if len(cert.trace) != cert.depth:
+        return fail("trace length %d does not match depth %d"
+                    % (len(cert.trace), cert.depth))
+
+    for pos, (point, value) in enumerate(zip(cert.points, cert.values)):
+        recomputed = point.value(params)
+        if recomputed != value:
+            reasons.append(
+                "point %d value mismatch: word gives %s, certificate says %s"
+                % (pos, _brief(recomputed), _brief(value))
+            )
+    residual = cert.x - sum((v * v for v in cert.values), Fraction(0))
+    if residual != cert.residual:
+        reasons.append(
+            "residual mismatch: recomputed %s, certificate says %s"
+            % (_brief(residual), _brief(cert.residual))
+        )
+    if not 0 <= residual <= cert.bound:
+        reasons.append(
+            "residual %s outside [0, bound=%s]"
+            % (_brief(residual), _brief(cert.bound))
+        )
+    if reasons:
+        return VerificationResult(False, tuple(reasons))
 
     r = params.ratio
     y = cert.x / r ** (2 * cert.scaling)
@@ -615,11 +658,9 @@ def verify_certificate(params: CantorParams, cert: Certificate) -> VerificationR
     t_base = (y - expected.value(params) ** 2) / r ** (2 * power)
     base = band_interval(params, band)
     if not base.contains_value(t_base):
-        return fail("reduced target %s outside the %s band" % (t_base, band.value))
+        return fail("reduced target %s outside the %s band"
+                    % (_brief(t_base), band.value))
 
-    if len(cert.trace) != cert.depth:
-        return fail("trace length %d does not match depth %d"
-                    % (len(cert.trace), cert.depth))
     try:
         box, img = _select_base(params, band, t_base)
     except ValueError as exc:
@@ -652,7 +693,7 @@ def verify_certificate(params: CantorParams, cert: Certificate) -> VerificationR
     bound = r ** (2 * lift) * (img.hi - img.lo)
     if bound != cert.bound:
         return fail("bound mismatch: replay gives %s, certificate says %s"
-                    % (bound, cert.bound))
+                    % (_brief(bound), _brief(cert.bound)))
     return VerificationResult(True, ())
 
 

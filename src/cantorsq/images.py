@@ -7,15 +7,16 @@ union covered by
   * sum:  (x_1, ..., x_k) -> x_1 + ... + x_k         over F^k,
   * diff: (x_1, x_2)      -> x_1 - x_2               over F^2.
 
-Each map is coordinatewise monotone, so the image of a box of basic
-intervals is a single closed interval computed at two corners, and the
-image of F^k is the finite union over all boxes.  The symmetric maps
-(sq, sum) only need multisets of basic intervals; diff is not symmetric
-and enumerates ordered pairs.
+Sum and diff follow the level set's self-similarity
+F_n = r*F_(n-1) | (r*F_(n-1) + 1-r): each level maps the merged image U
+to the union of r*U + j*(1-r) over the top split's shifts j, so the work
+grows with level times parts, not with the number of boxes.  The sum of
+squares is separable, so its image is the Minkowski fold S + ... + S of
+S = {x^2 : x in F}, merged after each addition.
 
-All enumeration runs on integers: with ratio p/q the level-n endpoints
-scale by q^n (by q^(2n) after squaring) to exact ints, and rationals are
-only materialized for the few merged output intervals.
+All of it runs on integers: with ratio p/q the level-n endpoints scale by
+q^n (by q^(2n) after squaring) to exact ints, and rationals are only
+materialized for the few merged output intervals.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ from .errors import CapExceeded, InternalInconsistencyError
 from .ifs import CantorParams, _level_ints
 from .numerics import Interval, IntervalUnion, OpenInterval, Rational
 
-#: Refuse to enumerate more boxes (multisets, or ordered pairs for diff)
-#: than this per image request.
+#: Refuse requests that enumerate more boxes (multisets, or ordered pairs
+#: for diff) than this.
 DEFAULT_BOX_CAP = 1 << 22
 
-_MERGE_BLOCK = 1 << 16
-
-#: Largest integer magnitude we allow into int64 vector arithmetic.
-_INT64_LIMIT = 1 << 62
+#: Sweep a growing Minkowski pair list once it holds this many pairs more
+#: than at its last sweep, so memory stays bounded by the merged result
+#: plus one block however many pairs a request adds.
+_SWEEP_BLOCK = 1 << 16
 
 
 class MapKind(enum.Enum):
@@ -67,8 +68,12 @@ class ImageRequest:
 
 
 def enumeration_count(request: ImageRequest) -> int:
-    """Boxes the request enumerates: multisets for the symmetric maps
-    (C(2^n + k - 1, k) after symmetry reduction), ordered pairs for diff."""
+    """Boxes of the request: multisets for the symmetric maps
+    (C(2^n + k - 1, k) after symmetry reduction), ordered pairs for diff.
+
+    This count gates :class:`CapExceeded`.  It is the size of the request,
+    not the work done: the recursion and the fold work on merged unions.
+    """
     pieces = 1 << request.level
     if request.map_kind is MapKind.DIFFERENCE:
         return pieces * pieces
@@ -76,7 +81,7 @@ def enumeration_count(request: ImageRequest) -> int:
 
 
 def _sweep(sorted_pairs: list) -> list:
-    """Merge a lo-sorted list of closed (lo, hi) int pairs in place."""
+    """Merge a lo-sorted list of closed (lo, hi) int pairs."""
     merged: list = []
     for lo, hi in sorted_pairs:
         if merged and lo <= merged[-1][1]:
@@ -87,117 +92,65 @@ def _sweep(sorted_pairs: list) -> list:
     return merged
 
 
-def _merge_normalized(a: list, b: list) -> list:
-    if not a:
-        return b
-    if not b:
-        return a
-    combined = a + b
-    combined.sort()
-    return _sweep(combined)
+def _self_similar(
+    base: tuple, shifts: range, p: int, q: int, level: int
+) -> list:
+    """Merged image, scaled by q^level, of a map that commutes with the
+    level set's top split F_n = r*F_(n-1) | (r*F_(n-1) + 1-r).
 
-
-def _sq_image_pairs(ints: list, width: int, arity: int) -> list:
-    """Normalized (lo, hi) int pairs for all multiset sum-of-squares boxes.
-
-    Partial sums are hoisted per loop level and blocks are merged as they
-    fill, so memory stays bounded by the (small) merged result plus one
-    block regardless of how many boxes are enumerated.
+    ``base`` is the image of [0, 1] as one int pair, and ``shifts`` lists
+    the multiples j of 1-r that the split can add (0..k for a k-fold sum,
+    -1..1 for the difference).  Each level maps the union U to the union
+    over j of r*U + j*(1-r); in ints scaled by q^(i+1) at level i, that is
+    p*U + j*(q-p)*q^i.
     """
-    lo_sq = [a * a for a in ints]
-    hi_sq = [(a + width) ** 2 for a in ints]
-    count = len(ints)
-    acc: list = []
-    block: list = []
-
-    def flush() -> None:
-        nonlocal acc
-        if block:
-            block.sort()
-            acc = _merge_normalized(acc, _sweep(block))
-            block.clear()
-
-    if arity == 1:
-        block.extend(zip(lo_sq, hi_sq))
-    elif arity == 2:
-        for i in range(count):
-            li, hi_i = lo_sq[i], hi_sq[i]
-            block.extend((li + lo_sq[j], hi_i + hi_sq[j]) for j in range(i, count))
-            if len(block) >= _MERGE_BLOCK:
-                flush()
-    elif arity == 3:
-        for i in range(count):
-            li, hi_i = lo_sq[i], hi_sq[i]
-            for j in range(i, count):
-                lij, hij = li + lo_sq[j], hi_i + hi_sq[j]
-                block.extend(
-                    (lij + lo_sq[k], hij + hi_sq[k]) for k in range(j, count)
-                )
-                if len(block) >= _MERGE_BLOCK:
-                    flush()
-    else:
-        for i in range(count):
-            li, hi_i = lo_sq[i], hi_sq[i]
-            for j in range(i, count):
-                lij, hij = li + lo_sq[j], hi_i + hi_sq[j]
-                for k in range(j, count):
-                    lijk, hijk = lij + lo_sq[k], hij + hi_sq[k]
-                    block.extend(
-                        (lijk + lo_sq[m], hijk + hi_sq[m]) for m in range(k, count)
-                    )
-                    if len(block) >= _MERGE_BLOCK:
-                        flush()
-    flush()
-    return acc
+    union = [base]
+    for i in range(level):
+        step = (q - p) * q**i
+        moved = [
+            (p * lo + j * step, p * hi + j * step) for j in shifts for lo, hi in union
+        ]
+        moved.sort()
+        union = _sweep(moved)
+    return union
 
 
-def _distinct_sums(ints: tuple, arity: int) -> list:
-    """Sorted distinct k-fold sums of ``ints`` (with repetition), exact."""
-    if arity == 1:
-        return list(ints)
-    if ints[-1] * arity < _INT64_LIMIT:
-        import numpy as np  # deferred: only image requests need numpy
-
-        arr = np.fromiter(ints, dtype=np.int64, count=len(ints))
-        acc = arr
-        for _ in range(arity - 1):
-            acc = np.unique(np.add.outer(acc, arr).ravel())
-        return [int(v) for v in acc]
-    # Fallback for endpoints too large for int64; same values, slower.
-    sums = set(ints)
-    for _ in range(arity - 1):
-        sums = {s + a for s in sums for a in ints}
-    return sorted(sums)
+def _minkowski(left: list, right: list, multisets: bool = False) -> list:
+    """Merged union of u + v over the lo-sorted closed int pairs u in
+    ``left`` and v in ``right``; with ``multisets`` (left is right) only
+    pairs with v at or after u, since the sum is symmetric."""
+    pairs: list = []
+    limit = _SWEEP_BLOCK
+    for i, (ulo, uhi) in enumerate(left):
+        row = right[i:] if multisets else right
+        pairs.extend((ulo + vlo, uhi + vhi) for vlo, vhi in row)
+        if len(pairs) >= limit:
+            pairs.sort()
+            pairs = _sweep(pairs)
+            limit = len(pairs) + _SWEEP_BLOCK
+    pairs.sort()
+    return _sweep(pairs)
 
 
-def _distinct_diffs(ints: tuple) -> list:
-    """Sorted distinct ordered-pair differences of ``ints``, exact."""
-    if ints[-1] < _INT64_LIMIT:
-        import numpy as np  # deferred: only image requests need numpy
-
-        arr = np.fromiter(ints, dtype=np.int64, count=len(ints))
-        return [int(v) for v in np.unique(np.subtract.outer(arr, arr).ravel())]
-    return sorted({a - b for a in ints for b in ints})
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _image_core(
     params: CantorParams, level: int, arity: int, map_kind: MapKind
 ) -> IntervalUnion:
-    ints = _level_ints(params, level)
     p = params.ratio.numerator
     q = params.ratio.denominator
-    width = p**level
     if map_kind is MapKind.SUM_OF_SQUARES:
         den = q ** (2 * level)
-        pairs = _sq_image_pairs(list(ints), width, arity)
+        width = p**level
+        squares = [(a * a, (a + width) ** 2) for a in _level_ints(params, level)]
+        pairs = squares if arity == 1 else _minkowski(squares, squares, True)
+        for _ in range(arity - 2):
+            pairs = _minkowski(pairs, squares)
     elif map_kind is MapKind.SUM:
         den = q**level
-        total_width = arity * width
-        pairs = _sweep([(s, s + total_width) for s in _distinct_sums(ints, arity)])
+        pairs = _self_similar((0, arity), range(arity + 1), p, q, level)
     else:
         den = q**level
-        pairs = _sweep([(d - width, d + width) for d in _distinct_diffs(ints)])
+        pairs = _self_similar((-1, 1), range(-1, 2), p, q, level)
     return IntervalUnion(
         Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in pairs
     )
@@ -206,9 +159,10 @@ def _image_core(
 def image(request: ImageRequest, box_cap: Optional[int] = None) -> IntervalUnion:
     """Exact image of the level set power under the requested map.
 
-    Results are cached per (params, level, arity, map kind) for the life
-    of the process; the cap only gates enumeration and never changes the
-    value.
+    The 128 most recent results are cached per (params, level, arity,
+    map kind).  The cap gates the request by its box count
+    (:func:`enumeration_count`), not by the work done, and never changes
+    the value.
     """
     cap = DEFAULT_BOX_CAP if box_cap is None else box_cap
     if cap < 1:

@@ -1,6 +1,7 @@
 """Command line behavior: schemas, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+import cantorsq
 from cantorsq.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cantorsq.__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +94,21 @@ class TestImageCommand:
         )
         assert code == EXIT_OK
         assert "measure" in out
+
+    @pytest.mark.parametrize("output", ["json", "human"])
+    def test_deterministic_bytes(self, output):
+        """Two fresh processes print the same stdout; the timing goes to
+        stderr as its one line."""
+        argv = [sys.executable, "-m", "cantorsq.cli", "image", "--level", "3",
+                "--arity", "3", "--output", output]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        runs = [subprocess.run(argv, env=env, capture_output=True, text=True,
+                               timeout=120, check=True) for _ in range(2)]
+        assert runs[0].stdout == runs[1].stdout
+        assert "elapsed" not in runs[0].stdout
+        for run in runs:
+            lines = run.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("elapsed_ms ")
 
 
 class TestGapCheckCommand:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -382,6 +383,50 @@ class TestVerifier:
         cert = decompose_four(params3, 0)
         bad = dataclasses.replace(cert, x=F(1, 9))
         assert not verify_certificate(params3, bad).ok
+
+    def test_zero_case_points(self, params3):
+        cert = decompose_four(params3, 0)
+        left = (CantorPoint("111", ALL_LEFT),) + cert.points[1:]
+        assert verify_certificate(params3, dataclasses.replace(cert, points=left)).ok
+        for point in (CantorPoint("112", ALL_LEFT), CantorPoint("", ALL_RIGHT)):
+            bad = dataclasses.replace(cert, points=(point,) + cert.points[1:])
+            result = verify_certificate(params3, bad)
+            assert not result.ok
+            assert "point 0" in result.reasons[0]
+
+    @staticmethod
+    def with_random_prefixes(cert, digits, seed):
+        """``cert`` with a random ``digits``-digit prefix on every point."""
+        rng = random.Random(seed)
+        to_digits = str.maketrans("01", "12")
+        points = tuple(
+            CantorPoint(format(rng.getrandbits(digits), "0%db" % digits)
+                        .translate(to_digits), point.tail)
+            for point in cert.points
+        )
+        return dataclasses.replace(cert, points=points)
+
+    def test_long_prefixes_fail_cleanly(self, params3):
+        cert = decompose_four(params3, F(7, 13), depth=4)
+        result = verify_certificate(
+            params3, self.with_random_prefixes(cert, 20_000, seed=1))
+        assert not result.ok and result.reasons
+
+    @pytest.mark.parametrize("x", [F(7, 13), F(0)])
+    def test_long_prefixes_rejected_fast(self, params3, x):
+        cert = decompose_four(params3, x, depth=4)
+        bad = self.with_random_prefixes(cert, 200_000, seed=2)
+        start = time.perf_counter()
+        result = verify_certificate(params3, bad)
+        elapsed = time.perf_counter() - start
+        assert not result.ok
+        assert elapsed < 0.1, "rejecting took %.3f s" % elapsed
+
+    def test_huge_stated_value_fails_cleanly(self, params3, cert):
+        values = (F(1, 10**5000),) + cert.values[1:]
+        result = verify_certificate(params3, dataclasses.replace(cert, values=values))
+        assert not result.ok
+        assert any("value mismatch" in r and "bits>" in r for r in result.reasons)
 
 
 class TestWindowMargins:

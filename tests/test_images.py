@@ -1,17 +1,21 @@
 """Exact images of level sets under sums, differences, and sums of squares.
 
-The implementation enumerates sorted integer multisets with block
-merging; the reference route here walks plain cartesian products of
-Fraction endpoints.  Agreement of the two is the point of the module.
+The implementation folds merged integer unions (self-similar recursion
+for sum and diff, Minkowski folding for squares); the reference route
+here enumerates every box of Fraction endpoints, multisets for the
+symmetric maps and ordered pairs for diff.  Agreement of the two is the
+point of the module.
 """
 
 import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cantorsq
 from cantorsq import (
@@ -27,9 +31,20 @@ from cantorsq import (
     level_left_endpoints,
     make_params,
     nestedness_check,
+    params_from_ratio,
 )
 
 F = Fraction
+
+#: Thick (ratio >= 1/3) and thin ratios every oracle sweep includes.
+ORACLE_RATIOS = (F(1, 3), F(5, 14), F(3, 8), F(9, 20), F(49, 100), F(1, 4))
+
+#: (map kind, arity) pairs the oracle sweeps cover.
+ORACLE_MAPS = tuple(
+    (kind, arity)
+    for kind in (MapKind.SUM_OF_SQUARES, MapKind.SUM)
+    for arity in (1, 2, 3, 4)
+) + ((MapKind.DIFFERENCE, 2),)
 
 
 def brute_image(params, level, arity, kind):
@@ -37,13 +52,13 @@ def brute_image(params, level, arity, kind):
     width = params.ratio ** level
     pieces = []
     if kind is MapKind.SUM_OF_SQUARES:
-        for combo in product(pts, repeat=arity):
+        for combo in combinations_with_replacement(pts, arity):
             pieces.append(Interval(
                 sum(v * v for v in combo),
                 sum((v + width) ** 2 for v in combo),
             ))
     elif kind is MapKind.SUM:
-        for combo in product(pts, repeat=arity):
+        for combo in combinations_with_replacement(pts, arity):
             total = sum(combo)
             pieces.append(Interval(total, total + arity * width))
     else:
@@ -144,6 +159,56 @@ class TestAgainstBruteForce:
             ).parts
 
 
+class TestOracleSweep:
+    @pytest.mark.parametrize("ratio", ORACLE_RATIOS, ids=str)
+    def test_fixed_ratios(self, ratio):
+        params = params_from_ratio(ratio)
+        for level in range(5):
+            for kind, arity in ORACLE_MAPS:
+                got = image(ImageRequest(params, level, arity, kind))
+                want = brute_image(params, level, arity, kind)
+                assert got.parts == want.parts, (ratio, level, arity, kind)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ratio=st.one_of(
+            st.sampled_from(ORACLE_RATIOS),
+            st.integers(3, 60).flatmap(
+                lambda q: st.integers(1, (q - 1) // 2).map(lambda p: F(p, q))
+            ),
+        ),
+        level=st.integers(0, 4),
+        kind_arity=st.sampled_from(ORACLE_MAPS),
+    )
+    def test_random_ratios(self, ratio, level, kind_arity):
+        kind, arity = kind_arity
+        params = params_from_ratio(ratio)
+        got = image(ImageRequest(params, level, arity, kind))
+        assert got.parts == brute_image(params, level, arity, kind).parts
+
+    @pytest.mark.parametrize("ratio", [F(1, 3), F(1, 4)], ids=str)
+    def test_blocked_sweeps(self, monkeypatch, ratio):
+        """Sweeping the pair list every few pairs gives the same union."""
+        monkeypatch.setattr(cantorsq.images, "_SWEEP_BLOCK", 5)
+        cantorsq.images._image_core.cache_clear()
+        params = params_from_ratio(ratio)
+        try:
+            for arity in (2, 3, 4):
+                request = ImageRequest(params, 3, arity, MapKind.SUM_OF_SQUARES)
+                assert image(request).parts == brute_image(
+                    params, 3, arity, MapKind.SUM_OF_SQUARES).parts
+        finally:
+            cantorsq.images._image_core.cache_clear()
+
+    @pytest.mark.parametrize("kind", [MapKind.SUM, MapKind.DIFFERENCE])
+    def test_endpoints_beyond_int64(self, kind):
+        """At ratio 499/1000 and level 7 the scaled endpoints pass 2^62."""
+        params = params_from_ratio(F(499, 1000))
+        assert params.ratio.denominator ** 7 > 1 << 62
+        got = image(ImageRequest(params, 7, 2, kind))
+        assert got.parts == brute_image(params, 7, 2, kind).parts
+
+
 class TestNestedness:
     @pytest.mark.parametrize("kind", list(MapKind))
     def test_successive_levels_shrink(self, params3, kind):
@@ -201,10 +266,18 @@ class TestCoverReport:
 
 
 def test_import_leaves_numpy_unloaded():
-    """numpy is imported by the first image request, not by the package."""
+    """Neither the package nor any image request imports numpy."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cantorsq.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, cantorsq, cantorsq.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys, cantorsq, cantorsq.cli\n"
+        "from cantorsq import ImageRequest, MapKind, image, make_params\n"
+        "p = make_params(3)\n"
+        "image(ImageRequest(p, 3, 4, MapKind.SUM_OF_SQUARES))\n"
+        "image(ImageRequest(p, 4, 3, MapKind.SUM))\n"
+        "image(ImageRequest(p, 10, 2, MapKind.DIFFERENCE))\n"
+        "print('numpy' in sys.modules)\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
