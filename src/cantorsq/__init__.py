@@ -3,26 +3,16 @@
 The package computes images of Cantor level sets under sums, differences
 and sums of squares, audits the subdivision lemma that drives the
 four-square decomposition, and produces independently verifiable
-decomposition certificates.
+decomposition certificates.  ``__all__`` lists the public API; helpers
+such as ``decompose.choose_fourth`` or ``lemmas.CHILD_INDICES`` are
+imported from their modules.
 """
 
 from .decompose import (
-    CERTIFICATE_SCHEMA,
-    MAX_SCAN_WINDOW,
     Band,
     Certificate,
-    FourthChoice,
-    KnownInterval,
-    KnownIntervalFamily,
-    ThreeSquareResult,
-    VerificationResult,
     band_interval,
-    choose_fourth,
     decompose_four,
-    decompose_three,
-    fourth_window_margins,
-    known_intervals,
-    scaling_reduce,
     verify_certificate,
 )
 from .errors import (
@@ -35,22 +25,16 @@ from .errors import (
 from .ifs import (
     ALL_LEFT,
     ALL_RIGHT,
-    DEFAULT_LEVEL_CAP,
-    BasicInterval,
     CantorParams,
     CantorPoint,
-    children,
     level_left_endpoints,
     level_set,
     make_params,
     params_from_ratio,
-    point_value,
     word_from_left_endpoint,
     word_left_endpoint,
 )
 from .images import (
-    DEFAULT_BOX_CAP,
-    CoverReport,
     ImageRequest,
     MapKind,
     cover_report,
@@ -60,31 +44,16 @@ from .images import (
     nestedness_check,
 )
 from .lemmas import (
-    CHILD_INDICES,
-    OverlapMargins,
     TripleBox,
-    base_box_condition_margins,
     base_boxes,
     child_box,
-    child_box_images,
     cond_invariant,
     cond_overlap,
-    invariant_condition_margin,
     overlap_chain_margins,
-    overlap_condition_margin,
     refine_step,
-    triple_box,
     verify_overlap_lemma,
 )
-from .numerics import (
-    Interval,
-    IntervalUnion,
-    OpenInterval,
-    Rational,
-    box_sum_of_squares_image,
-    decimal_preview,
-    rat,
-)
+from .numerics import Interval, IntervalUnion, rat
 
 __version__ = "0.1.0"
 
@@ -92,69 +61,39 @@ __all__ = [
     "ALL_LEFT",
     "ALL_RIGHT",
     "Band",
-    "BasicInterval",
-    "CERTIFICATE_SCHEMA",
-    "CHILD_INDICES",
     "CantorParams",
     "CantorPoint",
     "CantorsqError",
     "CapExceeded",
     "Certificate",
-    "CoverReport",
-    "DEFAULT_BOX_CAP",
-    "DEFAULT_LEVEL_CAP",
-    "FourthChoice",
     "ImageRequest",
     "InternalInconsistencyError",
     "Interval",
     "IntervalUnion",
-    "KnownInterval",
-    "KnownIntervalFamily",
-    "MAX_SCAN_WINDOW",
     "MapKind",
-    "OpenInterval",
-    "OverlapMargins",
-    "Rational",
     "SearchExhausted",
     "ThinRegimeError",
-    "ThreeSquareResult",
     "TripleBox",
-    "VerificationResult",
     "band_interval",
-    "base_box_condition_margins",
     "base_boxes",
-    "box_sum_of_squares_image",
     "child_box",
-    "child_box_images",
-    "children",
-    "choose_fourth",
     "cond_invariant",
     "cond_overlap",
     "cover_report",
-    "decimal_preview",
     "decompose_four",
-    "decompose_three",
     "enumeration_count",
-    "fourth_window_margins",
     "gap_check",
     "image",
-    "invariant_condition_margin",
-    "known_intervals",
     "level_left_endpoints",
     "level_set",
     "make_params",
     "nestedness_check",
     "overlap_chain_margins",
-    "overlap_condition_margin",
     "params_from_ratio",
-    "point_value",
     "rat",
     "refine_step",
-    "scaling_reduce",
-    "triple_box",
     "verify_certificate",
     "verify_overlap_lemma",
     "word_from_left_endpoint",
     "word_left_endpoint",
-    "__version__",
 ]

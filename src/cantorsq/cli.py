@@ -6,20 +6,16 @@ verify.  Default output is stable single-line JSON for scripting;
 digit decimal previews next to the exact rationals.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad
-arguments, out-of-range values, thin regime, resource caps).  Caps can
-also be set via the environment: CANTORSQ_BOX_CAP, CANTORSQ_LEVEL_CAP.
+arguments, out-of-range values, thin regime, resource caps).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .decompose import (
@@ -35,15 +31,8 @@ from .errors import (
     SearchExhausted,
     ThinRegimeError,
 )
-from .ifs import (
-    ALL_LEFT,
-    DEFAULT_LEVEL_CAP,
-    CantorParams,
-    level_left_endpoints,
-    make_params,
-)
+from .ifs import ALL_LEFT, CantorParams, level_left_endpoints, make_params
 from .images import (
-    DEFAULT_BOX_CAP,
     ImageRequest,
     MapKind,
     cover_report,
@@ -66,45 +55,6 @@ EXIT_USAGE = 2
 PREVIEW_DIGITS = 30
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    alpha: Rational
-    depth: int
-    max_level: int
-    box_cap: int
-    level_cap: int
-    output: str
-    seed: int
-
-
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError("%s must be an integer, got %r" % (name, raw)) from exc
-
-
-def _build_config(args: argparse.Namespace) -> CliConfig:
-    box_cap = args.box_cap
-    if box_cap is None:
-        box_cap = _env_cap("CANTORSQ_BOX_CAP", DEFAULT_BOX_CAP)
-    level_cap = args.level_cap
-    if level_cap is None:
-        level_cap = _env_cap("CANTORSQ_LEVEL_CAP", DEFAULT_LEVEL_CAP)
-    return CliConfig(
-        alpha=rat(args.alpha),
-        depth=getattr(args, "depth", 40),
-        max_level=getattr(args, "max_level", 5),
-        box_cap=box_cap,
-        level_cap=level_cap,
-        output=args.output,
-        seed=args.seed,
-    )
-
-
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
@@ -119,17 +69,17 @@ def _ternary(prefix: str, tail: str) -> str:
     return "0." + digits + "(" + repeating + "...)"
 
 
-def cmd_decompose(config: CliConfig, args: argparse.Namespace) -> int:
-    params = make_params(config.alpha)
+def cmd_decompose(args: argparse.Namespace) -> int:
+    params = make_params(args.alpha)
     if args.ternary and params.alpha != 3:
         raise ValueError("--ternary requires alpha = 3")
     x = rat(args.x)
-    cert = decompose_four(params, x, config.depth)
+    cert = decompose_four(params, x, args.depth)
     result = verify_certificate(params, cert)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(cert.canonical_json())
-    if config.output == "json":
+    if args.output == "json":
         print(cert.canonical_json(), end="")
     else:
         lines = [
@@ -155,11 +105,11 @@ def cmd_decompose(config: CliConfig, args: argparse.Namespace) -> int:
     return EXIT_OK if result.ok else EXIT_VERIFY
 
 
-def cmd_image(config: CliConfig, args: argparse.Namespace) -> int:
-    params = make_params(config.alpha)
+def cmd_image(args: argparse.Namespace) -> int:
+    params = make_params(args.alpha)
     request = ImageRequest(params, args.level, args.arity, MapKind(args.map))
     started = time.perf_counter()
-    union = image(request, config.box_cap)
+    union = image(request, args.box_cap)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     payload = {
         "alpha": str(params.alpha),
@@ -170,7 +120,7 @@ def cmd_image(config: CliConfig, args: argparse.Namespace) -> int:
         "measure": str(union.measure()),
         "boxes_enumerated": enumeration_count(request),
     }
-    if config.output == "json":
+    if args.output == "json":
         _emit_json(payload)
     else:
         print(
@@ -191,16 +141,16 @@ def cmd_image(config: CliConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_gap_check(config: CliConfig, args: argparse.Namespace) -> int:
-    params = make_params(config.alpha)
-    gap = gap_check(params, config.box_cap)
+def cmd_gap_check(args: argparse.Namespace) -> int:
+    params = make_params(args.alpha)
+    gap = gap_check(params, args.box_cap)
     payload = {
         "alpha": str(params.alpha),
         "ratio": str(params.ratio),
         "gap": None if gap is None else gap.to_json(),
         "checked_level": 1,
     }
-    if config.output == "json":
+    if args.output == "json":
         _emit_json(payload)
     elif gap is None:
         print(
@@ -215,14 +165,14 @@ def cmd_gap_check(config: CliConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _lemma_sweep(params: CantorParams, config: CliConfig,
-                 max_level: int, random_boxes: int) -> dict:
+def _lemma_sweep(params: CantorParams, args: argparse.Namespace) -> dict:
+    max_level = args.max_level
     levels = []
     min_chain = None
     min_join = None
     failures = 0
     for level in range(1, max_level + 1):
-        endpoints = level_left_endpoints(params, level, config.level_cap)
+        endpoints = level_left_endpoints(params, level, args.level_cap)
         checked = eligible = level_failures = 0
         for combo in combinations_with_replacement(endpoints, 3):
             # Descending lefts: the margins' canonical orientation.
@@ -247,12 +197,12 @@ def _lemma_sweep(params: CantorParams, config: CliConfig,
              "closure_failures": level_failures}
         )
     random_report = None
-    if random_boxes:
-        rng = random.Random(config.seed)
+    if args.random_boxes:
+        rng = random.Random(args.seed)
         sampled = eligible = sample_failures = 0
-        for _ in range(random_boxes):
+        for _ in range(args.random_boxes):
             level = rng.randint(1, max_level + 3)
-            endpoints = level_left_endpoints(params, level, config.level_cap)
+            endpoints = level_left_endpoints(params, level, args.level_cap)
             box = TripleBox(
                 tuple(sorted((rng.choice(endpoints) for _ in range(3)),
                              reverse=True)),
@@ -266,7 +216,7 @@ def _lemma_sweep(params: CantorParams, config: CliConfig,
                 sample_failures += 1
         failures += sample_failures
         random_report = {
-            "seed": config.seed,
+            "seed": args.seed,
             "sampled": sampled,
             "eligible": eligible,
             "closure_failures": sample_failures,
@@ -284,14 +234,14 @@ def _lemma_sweep(params: CantorParams, config: CliConfig,
     }
 
 
-def cmd_verify_lemmas(config: CliConfig, args: argparse.Namespace) -> int:
-    params = make_params(config.alpha)
-    payload = _lemma_sweep(params, config, config.max_level, args.random_boxes)
-    if config.output == "json":
+def cmd_verify_lemmas(args: argparse.Namespace) -> int:
+    params = make_params(args.alpha)
+    payload = _lemma_sweep(params, args)
+    if args.output == "json":
         _emit_json(payload)
     else:
         print("subdivision lemma sweep, alpha %s, levels 1..%d"
-              % (params.alpha, config.max_level))
+              % (params.alpha, args.max_level))
         for row in payload["levels"]:
             print("  level %d: %d boxes, %d eligible, %d closure failures"
                   % (row["level"], row["boxes"], row["eligible"],
@@ -308,29 +258,29 @@ def cmd_verify_lemmas(config: CliConfig, args: argparse.Namespace) -> int:
     return EXIT_OK if payload["all_pass"] else EXIT_VERIFY
 
 
-def cmd_cover_report(config: CliConfig, args: argparse.Namespace) -> int:
-    params = make_params(config.alpha)
+def cmd_cover_report(args: argparse.Namespace) -> int:
+    params = make_params(args.alpha)
     bands = IntervalUnion(
         [band_interval(params, Band.LOW), band_interval(params, Band.MAIN)]
     )
     full = IntervalUnion([Interval(0, 4)])
     reports = (
-        ("three-square-bands", cover_report(params, bands, 3, config.max_level,
-                                            box_cap=config.box_cap)),
-        ("four-square-range", cover_report(params, full, 4, config.max_level,
-                                           box_cap=config.box_cap)),
+        ("three-square-bands", cover_report(params, bands, 3, args.max_level,
+                                            box_cap=args.box_cap)),
+        ("four-square-range", cover_report(params, full, 4, args.max_level,
+                                           box_cap=args.box_cap)),
     )
     payload = {
         "alpha": str(params.alpha),
-        "max_level": config.max_level,
+        "max_level": args.max_level,
         "claims": [dict(report.to_json(), name=name) for name, report in reports],
         "all_pass": all(report.passed for _, report in reports),
     }
-    if config.output == "json":
+    if args.output == "json":
         _emit_json(payload)
     else:
         print("containment report, alpha %s, levels 1..%d"
-              % (params.alpha, config.max_level))
+              % (params.alpha, args.max_level))
         for name, report in reports:
             rows = " ".join("%d:%s" % (lvl, "ok" if ok else "FAIL")
                             for lvl, ok in report.rows)
@@ -339,9 +289,12 @@ def cmd_cover_report(config: CliConfig, args: argparse.Namespace) -> int:
     return EXIT_OK if payload["all_pass"] else EXIT_VERIFY
 
 
-def cmd_verify(config: CliConfig, args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.certificate, "r", encoding="ascii") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("certificate JSON is nested too deeply") from None
     cert = Certificate.from_json_dict(data)
     params = make_params(cert.alpha)
     result = verify_certificate(params, cert)
@@ -351,7 +304,7 @@ def cmd_verify(config: CliConfig, args: argparse.Namespace) -> int:
         "x": str(cert.x),
         "alpha": str(cert.alpha),
     }
-    if config.output == "json":
+    if args.output == "json":
         _emit_json(payload)
     else:
         print("certificate for x = %s (alpha %s): %s"
@@ -437,8 +390,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _build_config(args)
-        return args.func(config, args)
+        return args.func(args)
     except InternalInconsistencyError as exc:
         _emit_error("internal", exc)
         return EXIT_VERIFY

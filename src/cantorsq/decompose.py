@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .errors import InternalInconsistencyError, SearchExhausted, ThinRegimeError
+from .errors import InternalInconsistencyError, SearchExhausted
 from .ifs import (
     ALL_LEFT,
     ALL_RIGHT,
@@ -46,7 +46,6 @@ from .ifs import (
     word_from_left_endpoint,
 )
 from .lemmas import (
-    ChildIndex,
     TripleBox,
     base_boxes,
     child_box,
@@ -61,13 +60,6 @@ CERTIFICATE_SCHEMA = "cantor-four-squares/1"
 MAX_SCAN_WINDOW = 4096
 
 _ZERO_CASE = "x=0"
-
-
-def _require_thick(params: CantorParams) -> None:
-    if not params.thick:
-        raise ThinRegimeError(
-            "four-square decomposition needs alpha >= 3, got %s" % (params.alpha,)
-        )
 
 
 class Band(enum.Enum):
@@ -94,41 +86,13 @@ class KnownInterval:
     interval: Interval
 
 
-@dataclass(frozen=True)
-class KnownIntervalFamily:
-    entries: tuple
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def known_intervals(params: CantorParams, max_power: int) -> KnownIntervalFamily:
-    """Both bands at every scale power 0..max_power, low band first."""
-    _require_thick(params)
-    if max_power < 0:
-        raise ValueError("max_power must be nonnegative")
-    r2 = params.ratio ** 2
-    bases = ((Band.LOW, band_interval(params, Band.LOW)),
-             (Band.MAIN, band_interval(params, Band.MAIN)))
-    entries = []
-    scale = Fraction(1)
-    for power in range(max_power + 1):
-        for band, base in bases:
-            entries.append(KnownInterval(power, band, base.scaled(scale)))
-        scale *= r2
-    return KnownIntervalFamily(tuple(entries))
-
-
 def scaling_reduce(params: CantorParams, x: RationalLike) -> Tuple[int, Rational]:
     """Smallest s >= 0 with x / r^(2s) in ((1-r)^2, 4], plus that value.
 
     Needs 0 < x <= 4.  Termination: each step multiplies by 1/r^2 > 4.
     The result stays <= 4 because (1-r)^2 / r^2 <= 4 in the thick regime.
     """
-    _require_thick(params)
+    params.require_thick("scaling reduction")
     x = rat(x)
     if not 0 < x <= 4:
         raise ValueError("scaling reduction needs 0 < x <= 4, got %s" % (x,))
@@ -190,7 +154,7 @@ def choose_fourth(
     low band at scale n-1 and then the main band at scale n.  Returns
     None when the window is too small (caller may widen and retry).
     """
-    _require_thick(params)
+    params.require_thick("the fourth-coordinate scan")
     y = rat(y)
     r = params.ratio
     if not (1 - r) ** 2 < y <= 4:
@@ -275,7 +239,7 @@ def decompose_three(
     image's upper endpoint, where the right endpoints realize the target
     with residual zero.  Either way 0 <= target - sum of squares <= bound.
     """
-    _require_thick(params)
+    params.require_thick("three-square decomposition")
     target = rat(target)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -422,7 +386,7 @@ def decompose_four(
     pathologically close to a scaled (1-r)^2 boundary and is reported
     with diagnostics instead of looping.
     """
-    _require_thick(params)
+    params.require_thick("four-square decomposition")
     x = rat(x)
     if not 0 <= x <= 4:
         raise ValueError("decomposition needs x in [0, 4], got %s" % (x,))
@@ -714,7 +678,7 @@ def fourth_window_margins(params: CantorParams, n: int) -> dict:
     The test suite pins each entry to its closed polynomial form and its
     sign over the whole thick regime.
     """
-    _require_thick(params)
+    params.require_thick("the scan-window margins")
     if n < 1:
         raise ValueError("window depth must be at least 1")
     r = params.ratio

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ThinRegimeError
 from .numerics import Interval, IntervalUnion, Rational, RationalLike, rat
 
 #: Refuse to enumerate a level with more than this many basic intervals.
@@ -74,6 +74,15 @@ class CantorParams:
     def thick(self) -> bool:
         """True when alpha >= 3, i.e. ratio >= 1/3."""
         return self.alpha >= 3
+
+    def require_thick(self, operation: str) -> None:
+        """Refuse ``operation`` outside the thick regime: the subdivision
+        conditions and the decomposition cover are only sound there."""
+        if not self.thick:
+            raise ThinRegimeError(
+                "%s needs alpha >= 3 (ratio >= 1/3), got alpha %s (ratio %s)"
+                % (operation, self.alpha, self.ratio)
+            )
 
     @property
     def gap_fraction(self) -> Rational:
@@ -135,72 +144,46 @@ def _level_ints(params: CantorParams, level: int) -> tuple:
     return tuple(vals)
 
 
+def _checked_level_ints(
+    params: CantorParams, level: int, cap: Optional[int]
+) -> tuple:
+    """:func:`_level_ints` once the level is nonnegative and its 2**level
+    basic intervals fit under ``cap`` (default :data:`DEFAULT_LEVEL_CAP`).
+
+    The cap is compared through its bit length, 2**level > cap exactly
+    when level >= cap.bit_length() for cap >= 1, so a huge level is
+    refused without building 2**level.
+    """
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    cap = DEFAULT_LEVEL_CAP if cap is None else cap
+    if cap < 1 or level >= cap.bit_length():
+        raise CapExceeded(
+            "level %d has 2^%d basic intervals, above the cap %d"
+            % (level, level, cap)
+        )
+    return _level_ints(params, level)
+
+
 def level_left_endpoints(
     params: CantorParams, level: int, cap: Optional[int] = None
 ) -> tuple:
     """All 2**level left endpoints of the level set, sorted ascending."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    cap = DEFAULT_LEVEL_CAP if cap is None else cap
-    if 1 << level > cap:
-        raise CapExceeded(
-            "level %d has %d basic intervals, above the cap %d"
-            % (level, 1 << level, cap)
-        )
+    ints = _checked_level_ints(params, level, cap)
     den = params.ratio.denominator ** level
-    return tuple(Fraction(a, den) for a in _level_ints(params, level))
+    return tuple(Fraction(a, den) for a in ints)
 
 
 def level_set(
     params: CantorParams, level: int, cap: Optional[int] = None
 ) -> IntervalUnion:
     """The level set: the union of all 2**level basic intervals."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    cap = DEFAULT_LEVEL_CAP if cap is None else cap
-    if 1 << level > cap:
-        raise CapExceeded(
-            "level %d has %d basic intervals, above the cap %d"
-            % (level, 1 << level, cap)
-        )
+    ints = _checked_level_ints(params, level, cap)
     den = params.ratio.denominator ** level
     width = params.ratio.numerator ** level
     return IntervalUnion(
-        Interval(Fraction(a, den), Fraction(a + width, den))
-        for a in _level_ints(params, level)
+        Interval(Fraction(a, den), Fraction(a + width, den)) for a in ints
     )
-
-
-@dataclass(frozen=True)
-class BasicInterval:
-    """A level-``level`` basic interval identified by its left endpoint."""
-
-    left: Rational
-    level: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "left", rat(self.left))
-        if self.level < 0:
-            raise ValueError("level must be nonnegative")
-
-    def interval(self, params: CantorParams) -> Interval:
-        return Interval(self.left, self.left + params.ratio**self.level)
-
-    def children(self, params: CantorParams) -> tuple:
-        """The two level+1 basic intervals obtained by one subdivision.
-
-        The left child keeps the left endpoint; the right child starts at
-        left + (1 - r) * r^level.  The open gap between them has length
-        r^level / alpha.
-        """
-        r = params.ratio
-        lo = BasicInterval(self.left, self.level + 1)
-        hi = BasicInterval(self.left + (1 - r) * r**self.level, self.level + 1)
-        return lo, hi
-
-
-def children(params: CantorParams, basic: BasicInterval) -> tuple:
-    return basic.children(params)
 
 
 @dataclass(frozen=True)
@@ -235,10 +218,6 @@ class CantorPoint:
     @classmethod
     def from_json(cls, data: dict) -> "CantorPoint":
         return cls(data["prefix"], data["tail"])
-
-
-def point_value(params: CantorParams, point: CantorPoint) -> Rational:
-    return point.value(params)
 
 
 def word_from_left_endpoint(

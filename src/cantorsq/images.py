@@ -28,10 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-
 from .errors import CapExceeded, InternalInconsistencyError
 from .ifs import CantorParams, _level_ints
-from .numerics import Interval, IntervalUnion, OpenInterval, Rational
+from .numerics import Interval, IntervalUnion, OpenInterval
 
 #: Refuse requests that enumerate more boxes (multisets, or ordered pairs
 #: for diff) than this.
@@ -167,6 +166,14 @@ def image(request: ImageRequest, box_cap: Optional[int] = None) -> IntervalUnion
     cap = DEFAULT_BOX_CAP if box_cap is None else box_cap
     if cap < 1:
         raise ValueError("box cap must be positive")
+    # Every request has at least 2^level boxes, and 2^level > cap exactly
+    # when level >= cap.bit_length(): a huge level is refused by its size
+    # before its count is built.
+    if request.level >= cap.bit_length():
+        raise CapExceeded(
+            "image request enumerates at least 2^%d boxes, above the cap %d"
+            % (request.level, cap)
+        )
     count = enumeration_count(request)
     if count > cap:
         raise CapExceeded(

@@ -56,14 +56,6 @@ _CHAIN_PAIRS: tuple = (
 )
 
 
-def _require_thick(params: CantorParams) -> None:
-    if not params.thick:
-        raise ThinRegimeError(
-            "subdivision conditions need ratio >= 1/3, got %s (alpha %s)"
-            % (params.ratio, params.alpha)
-        )
-
-
 @dataclass(frozen=True)
 class TripleBox:
     """Product of three level-``level`` basic intervals, by left endpoint."""
@@ -132,7 +124,7 @@ def invariant_condition_margin(params: CantorParams, box: TripleBox) -> Rational
 
 def cond_overlap(params: CantorParams, box: TripleBox) -> bool:
     """Tiling condition: the 8 child images chain without gaps."""
-    _require_thick(params)
+    params.require_thick("the tiling condition")
     if box.coordinate_max() <= 0:
         return False
     return overlap_condition_margin(params, box) <= 0
@@ -141,7 +133,7 @@ def cond_overlap(params: CantorParams, box: TripleBox) -> bool:
 def cond_invariant(params: CantorParams, box: TripleBox) -> bool:
     """Descent condition; implies the tiling condition and is inherited
     by all 8 child boxes."""
-    _require_thick(params)
+    params.require_thick("the descent condition")
     return invariant_condition_margin(params, box) <= 0
 
 
@@ -290,7 +282,7 @@ def base_boxes(params: CantorParams) -> tuple:
     bug, not bad input.  Memoised per parameters: the result is immutable
     and every decomposition needs it several times.
     """
-    _require_thick(params)
+    params.require_thick("the seed boxes")
     r = params.ratio
     boxes = (
         triple_box(params, (Fraction(0), 1 - r, 1 - r), 1),
@@ -334,7 +326,7 @@ class OverlapMargins:
 
 def overlap_chain_margins(params: CantorParams, box: TripleBox) -> OverlapMargins:
     """Compute the margins in the canonical descending orientation."""
-    _require_thick(params)
+    params.require_thick("the overlap margins")
     order = sorted(range(3), key=lambda c: (-box.lefts[c], c))
     sorted_box = TripleBox(tuple(box.lefts[c] for c in order), box.level)
     images = child_box_images(params, sorted_box)

@@ -184,14 +184,6 @@ class IntervalUnion:
             return IntervalUnion([Interval(0, 0)])
         return IntervalUnion(p.scaled(t) for p in self.parts)
 
-    def minkowski_sum(self, other: "IntervalUnion") -> "IntervalUnion":
-        """{x + y : x in self, y in other}, exact."""
-        return IntervalUnion(
-            Interval(a.lo + b.lo, a.hi + b.hi)
-            for a in self.parts
-            for b in other.parts
-        )
-
     def measure(self) -> Rational:
         """Total length (Lebesgue measure) of the union."""
         return sum((p.length() for p in self.parts), Fraction(0))

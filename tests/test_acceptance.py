@@ -35,29 +35,30 @@ from itertools import combinations_with_replacement
 
 from cantorsq import (
     Band,
-    CHILD_INDICES,
     ImageRequest,
     Interval,
     IntervalUnion,
     MapKind,
     TripleBox,
     band_interval,
-    base_box_condition_margins,
     base_boxes,
-    child_box_images,
     cond_invariant,
     cond_overlap,
     decompose_four,
-    fourth_window_margins,
     gap_check,
     image,
     level_left_endpoints,
     make_params,
     overlap_chain_margins,
-    overlap_condition_margin,
     params_from_ratio,
     verify_certificate,
     verify_overlap_lemma,
+)
+from cantorsq.decompose import fourth_window_margins
+from cantorsq.lemmas import (
+    base_box_condition_margins,
+    child_box_images,
+    overlap_condition_margin,
 )
 import cantorsq.ifs
 import cantorsq.images

@@ -207,16 +207,30 @@ class TestUsageErrors:
             main(["bogus"])
         assert excinfo.value.code == 2
 
-    def test_box_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CANTORSQ_BOX_CAP", "4")
-        code, out = run_cli(capsys, "image", "--level", "1", "--arity", "4")
+    def test_box_cap_flag(self, capsys):
+        code, out = run_cli(capsys, "image", "--level", "1", "--arity", "4",
+                            "--box-cap", "4")
         assert code == EXIT_USAGE
         assert "cap" in json.loads(out)["error"]["message"]
 
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("CANTORSQ_BOX_CAP", "lots")
-        code, out = run_cli(capsys, "image", "--level", "1", "--arity", "2")
+    def test_level_cap_flag(self, capsys):
+        code, out = run_cli(capsys, "verify-lemmas", "--max-level", "3",
+                            "--level-cap", "4")
         assert code == EXIT_USAGE
+        assert "cap" in json.loads(out)["error"]["message"]
+
+    def test_huge_image_level(self, capsys):
+        """Refused by the cap, not by CPython's limit on printing ints."""
+        code, out = run_cli(capsys, "image", "--level", "20000")
+        assert code == EXIT_USAGE
+        assert "cap" in json.loads(out)["error"]["message"]
+
+    def test_deeply_nested_certificate(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, out = run_cli(capsys, "verify", str(path))
+        assert code == EXIT_USAGE
+        assert json.loads(out)["error"]["kind"] == "usage"
 
 
 class TestConsoleScript:

@@ -18,14 +18,15 @@ from cantorsq import (
     SearchExhausted,
     ThinRegimeError,
     band_interval,
-    choose_fourth,
     decompose_four,
+    make_params,
+    verify_certificate,
+)
+from cantorsq.decompose import (
+    choose_fourth,
     decompose_three,
     fourth_window_margins,
-    known_intervals,
-    make_params,
     scaling_reduce,
-    verify_certificate,
 )
 
 F = Fraction
@@ -45,16 +46,16 @@ class TestBands:
         )
 
     def test_known_intervals(self, params3):
-        family = known_intervals(params3, 1)
-        assert len(family) == 4
-        entries = list(family)
-        assert [(e.scale_power, e.band) for e in entries] == [
-            (0, Band.LOW), (0, Band.MAIN), (1, Band.LOW), (1, Band.MAIN),
-        ]
-        assert entries[2].interval == Interval(F(44, 729), F(67, 729))
-        assert entries[3].interval == Interval(F(8, 81), F(1, 3))
-        with pytest.raises(ValueError):
-            known_intervals(params3, -1)
+        """The scan's targets are the bands scaled by r^(2*power): for
+        y = 4/9 + t the edge point 2/3 leaves t, which lands in the low
+        band at power 1 for t = 50/729 and in the main band at power 1
+        for t = 1/5."""
+        low = choose_fourth(params3, F(4, 9) + F(50, 729), 8).target
+        assert (low.scale_power, low.band) == (1, Band.LOW)
+        assert low.interval == Interval(F(44, 729), F(67, 729))
+        main = choose_fourth(params3, F(4, 9) + F(1, 5), 8).target
+        assert (main.scale_power, main.band) == (1, Band.MAIN)
+        assert main.interval == Interval(F(8, 81), F(1, 3))
 
 
 class TestScalingReduce:

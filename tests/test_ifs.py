@@ -8,17 +8,14 @@ import pytest
 from cantorsq import (
     ALL_LEFT,
     ALL_RIGHT,
-    BasicInterval,
     CantorPoint,
     CapExceeded,
     Interval,
     IntervalUnion,
-    children,
     level_left_endpoints,
     level_set,
     make_params,
     params_from_ratio,
-    point_value,
     word_from_left_endpoint,
     word_left_endpoint,
 )
@@ -110,6 +107,16 @@ class TestLevelEnumeration:
         with pytest.raises(CapExceeded):
             level_left_endpoints(params3, 6, cap=32)
         assert len(level_left_endpoints(params3, 5, cap=32)) == 32
+        for level, cap in ((5, 31), (0, 0), (0, -1)):
+            with pytest.raises(CapExceeded):
+                level_left_endpoints(params3, level, cap=cap)
+
+    @pytest.mark.parametrize("enumerate_level", [level_left_endpoints, level_set])
+    def test_huge_level(self, params3, enumerate_level):
+        """Beyond CPython's 4300-digit limit on printing ints, the level
+        is still refused with CapExceeded."""
+        with pytest.raises(CapExceeded):
+            enumerate_level(params3, 20_000)
 
     def test_level_set(self, params3):
         assert level_set(params3, 2) == IntervalUnion([
@@ -129,28 +136,12 @@ class TestLevelEnumeration:
             prev = cur
 
 
-class TestBasicInterval:
-    def test_interval_and_children(self, params3):
-        basic = BasicInterval(F(2, 3), 1)
-        assert basic.interval(params3) == Interval(F(2, 3), 1)
-        kids = children(params3, basic)
-        assert [k.left for k in kids] == [F(2, 3), F(8, 9)]
-        assert all(k.level == 2 for k in kids)
-        # children sit inside the parent
-        for kid in kids:
-            assert basic.interval(params3).contains(kid.interval(params3))
-
-
 class TestCantorPoint:
     def test_tail_values(self, params3):
         assert CantorPoint("", ALL_LEFT).value(params3) == 0
         assert CantorPoint("", ALL_RIGHT).value(params3) == 1
         assert CantorPoint("2", ALL_LEFT).value(params3) == F(2, 3)
         assert CantorPoint("2111", ALL_RIGHT).value(params3) == F(55, 81)
-
-    def test_point_value_helper(self, params3):
-        pt = CantorPoint("12", ALL_RIGHT)
-        assert point_value(params3, pt) == F(2, 9) + F(1, 9)
 
     def test_scaling_prefix(self, params3):
         pt = CantorPoint("2", ALL_LEFT)

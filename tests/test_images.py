@@ -243,10 +243,25 @@ class TestCaps:
     def test_box_cap(self, params3):
         with pytest.raises(CapExceeded):
             image(ImageRequest(params3, 1, 4, MapKind.SUM_OF_SQUARES), box_cap=4)
+        # Arity-1 sums have exactly 2^level boxes: the level's bit-length
+        # check and the box count agree at cap = 2^level.
+        request = ImageRequest(params3, 5, 1, MapKind.SUM)
+        assert len(image(request, box_cap=32)) == 32
+        with pytest.raises(CapExceeded):
+            image(request, box_cap=31)
 
     def test_bad_cap(self, params3):
         with pytest.raises(ValueError):
             image(ImageRequest(params3, 1, 2, MapKind.SUM), box_cap=0)
+
+    @pytest.mark.parametrize("arity, kind", [
+        (4, MapKind.SUM_OF_SQUARES), (2, MapKind.SUM), (2, MapKind.DIFFERENCE),
+    ])
+    def test_huge_level(self, params3, arity, kind):
+        """Beyond CPython's 4300-digit limit on printing ints, the request
+        is still refused with CapExceeded."""
+        with pytest.raises(CapExceeded):
+            image(ImageRequest(params3, 20_000, arity, kind))
 
 
 class TestCoverReport:

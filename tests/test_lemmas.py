@@ -13,25 +13,27 @@ from itertools import combinations_with_replacement
 import pytest
 
 from cantorsq import (
-    CHILD_INDICES,
     Interval,
     IntervalUnion,
     ThinRegimeError,
     TripleBox,
-    base_box_condition_margins,
     base_boxes,
     child_box,
-    child_box_images,
     cond_invariant,
     cond_overlap,
-    invariant_condition_margin,
     level_left_endpoints,
     make_params,
     overlap_chain_margins,
-    overlap_condition_margin,
     refine_step,
-    triple_box,
     verify_overlap_lemma,
+)
+from cantorsq.lemmas import (
+    CHILD_INDICES,
+    base_box_condition_margins,
+    child_box_images,
+    invariant_condition_margin,
+    overlap_condition_margin,
+    triple_box,
 )
 
 F = Fraction

@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from cantorsq import (
-    Interval,
-    IntervalUnion,
+from cantorsq import Interval, IntervalUnion, rat
+from cantorsq.numerics import (
     OpenInterval,
     box_sum_of_squares_image,
     decimal_preview,
-    rat,
 )
 
 
@@ -125,14 +123,6 @@ class TestIntervalUnion:
         assert u.scale(-1).parts == (Interval(-3, -2), Interval(-1, 0))
         assert u.scale(0).parts == (Interval(0, 0),)
         assert IntervalUnion().scale(0).is_empty
-
-    def test_minkowski_sum(self):
-        pieces = IntervalUnion(
-            [Interval(0, Fraction(1, 9)), Interval(Fraction(2, 9), Fraction(1, 3))]
-        )
-        total = pieces.minkowski_sum(pieces)
-        # pairwise sums chain with no gap
-        assert total.parts == (Interval(0, Fraction(2, 3)),)
 
     def test_measure_and_hull(self):
         u = IntervalUnion([Interval(0, 1), Interval(2, 4)])

@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cantorsq import (
-    CHILD_INDICES,
     Band,
     Certificate,
     TripleBox,
@@ -22,13 +21,14 @@ from cantorsq import (
     child_box,
     cond_invariant,
     decompose_four,
-    decompose_three,
     make_params,
     params_from_ratio,
     refine_step,
     verify_certificate,
     word_left_endpoint,
 )
+from cantorsq.decompose import decompose_three
+from cantorsq.lemmas import CHILD_INDICES
 
 F = Fraction
 
