@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -33,6 +34,7 @@ from .errors import (
 )
 from .ifs import ALL_LEFT, CantorParams, level_left_endpoints, make_params
 from .images import (
+    DEFAULT_BOX_CAP,
     ImageRequest,
     MapKind,
     cover_report,
@@ -165,14 +167,21 @@ def cmd_gap_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _lemma_sweep(params: CantorParams, args: argparse.Namespace) -> dict:
-    max_level = args.max_level
+def _lemma_sweep(params: CantorParams, max_level: int, random_boxes: int,
+                 seed: int, box_cap: int | None) -> dict:
+    cap = DEFAULT_BOX_CAP if box_cap is None else box_cap
+    # Level N has C(2^N + 2, 3) >= 2^N > cap boxes once N >= cap.bit_length().
+    if max_level >= cap.bit_length() or cap < max(random_boxes, 0) + sum(
+        math.comb((1 << level) + 2, 3) for level in range(1, max_level + 1)
+    ):
+        raise CapExceeded("verify-lemmas through level %d checks more boxes "
+                          "than the cap %d" % (max_level, cap))
     levels = []
     min_chain = None
     min_join = None
     failures = 0
     for level in range(1, max_level + 1):
-        endpoints = level_left_endpoints(params, level, args.level_cap)
+        endpoints = level_left_endpoints(params, level, None)
         checked = eligible = level_failures = 0
         for combo in combinations_with_replacement(endpoints, 3):
             # Descending lefts: the margins' canonical orientation.
@@ -197,12 +206,12 @@ def _lemma_sweep(params: CantorParams, args: argparse.Namespace) -> dict:
              "closure_failures": level_failures}
         )
     random_report = None
-    if args.random_boxes:
-        rng = random.Random(args.seed)
+    if random_boxes:
+        rng = random.Random(seed)
         sampled = eligible = sample_failures = 0
-        for _ in range(args.random_boxes):
+        for _ in range(random_boxes):
             level = rng.randint(1, max_level + 3)
-            endpoints = level_left_endpoints(params, level, args.level_cap)
+            endpoints = level_left_endpoints(params, level, None)
             box = TripleBox(
                 tuple(sorted((rng.choice(endpoints) for _ in range(3)),
                              reverse=True)),
@@ -216,7 +225,7 @@ def _lemma_sweep(params: CantorParams, args: argparse.Namespace) -> dict:
                 sample_failures += 1
         failures += sample_failures
         random_report = {
-            "seed": args.seed,
+            "seed": seed,
             "sampled": sampled,
             "eligible": eligible,
             "closure_failures": sample_failures,
@@ -236,7 +245,8 @@ def _lemma_sweep(params: CantorParams, args: argparse.Namespace) -> dict:
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     params = make_params(args.alpha)
-    payload = _lemma_sweep(params, args)
+    payload = _lemma_sweep(params, args.max_level, args.random_boxes,
+                           args.seed, args.box_cap)
     if args.output == "json":
         _emit_json(payload)
     else:
@@ -315,20 +325,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    def option(*names, **kwargs) -> argparse.ArgumentParser:
+        holder = argparse.ArgumentParser(add_help=False)
+        holder.add_argument(*names, **kwargs)
+        return holder
+
+    alpha = option(
         "--alpha", default="3",
         help="set parameter alpha > 1, as 'p/q', an integer, or a "
              "terminating decimal (default 3)",
     )
-    common.add_argument("--output", choices=("json", "human"), default="json",
-                        help="output format (default json)")
-    common.add_argument("--box-cap", type=int, default=None,
-                        help="max boxes per image enumeration")
-    common.add_argument("--level-cap", type=int, default=None,
-                        help="max basic intervals per level enumeration")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps (default 0)")
+    output = option("--output", choices=("json", "human"), default="json",
+                    help="output format (default json)")
+    box_cap = option("--box-cap", type=int, default=None,
+                     help="max boxes per image enumeration or lemma sweep")
 
     parser = argparse.ArgumentParser(
         prog="cantorsq",
@@ -338,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", parents=[common],
+    p = sub.add_parser("decompose", parents=[alpha, output],
                        help="decompose x in [0,4] into four squares")
     p.add_argument("--x", required=True, help="the value to decompose")
     p.add_argument("--depth", type=int, default=40,
@@ -349,30 +359,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --output human and alpha 3, show ternary digits")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("image", parents=[common],
+    p = sub.add_parser("image", parents=[alpha, output, box_cap],
                        help="exact image of a level-set power")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--arity", type=int, default=4)
     p.add_argument("--map", choices=[k.value for k in MapKind], default="sq")
     p.set_defaults(func=cmd_image)
 
-    p = sub.add_parser("gap-check", parents=[common],
+    p = sub.add_parser("gap-check", parents=[alpha, output, box_cap],
                        help="report the four-square gap below the thick regime")
     p.set_defaults(func=cmd_gap_check)
 
-    p = sub.add_parser("verify-lemmas", parents=[common],
+    p = sub.add_parser("verify-lemmas", parents=[alpha, output, box_cap],
                        help="exhaustively audit the subdivision lemma")
     p.add_argument("--max-level", type=int, default=5, dest="max_level")
     p.add_argument("--random-boxes", type=int, default=0,
                    help="additionally sample this many random deeper boxes")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for --random-boxes (default 0)")
     p.set_defaults(func=cmd_verify_lemmas)
 
-    p = sub.add_parser("cover-report", parents=[common],
+    p = sub.add_parser("cover-report", parents=[alpha, output, box_cap],
                        help="per-level containment of the known bands")
     p.add_argument("--max-level", type=int, default=5, dest="max_level")
     p.set_defaults(func=cmd_cover_report)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[output],
                        help="re-verify a certificate file")
     p.add_argument("certificate", help="path to a certificate JSON file")
     p.set_defaults(func=cmd_verify)

@@ -52,7 +52,7 @@ from .lemmas import (
     refine_scaled,
     scaled_box,
 )
-from .numerics import Interval, Rational, RationalLike, rat
+from .numerics import Interval, Rational, RationalLike, brief, rat
 
 CERTIFICATE_SCHEMA = "cantor-four-squares/1"
 
@@ -152,7 +152,7 @@ def choose_fourth(
     Scan order: 1 then 0 against the main band at scale 0; then for each
     depth n = 1..max_window the three edge witnesses, each against the
     low band at scale n-1 and then the main band at scale n.  Returns
-    None when the window is too small (caller may widen and retry).
+    None when no depth up to max_window hits.
     """
     params.require_thick("the fourth-coordinate scan")
     y = rat(y)
@@ -381,8 +381,8 @@ def decompose_four(
     """Decompose x in [0, 4] into four squares of attractor points.
 
     Deterministic: the same (params, x, depth) always yields the same
-    certificate.  The scan window for the fourth coordinate starts at 8
-    and doubles on demand; hitting the hard budget means x sits
+    certificate.  The fourth coordinate comes from one scan over edge
+    depths 1..MAX_SCAN_WINDOW; finding nothing there means x sits
     pathologically close to a scaled (1-r)^2 boundary and is reported
     with diagnostics instead of looping.
     """
@@ -408,20 +408,14 @@ def decompose_four(
             trace=(),
         )
     scaling, y = scaling_reduce(params, x)
-    window = 8
-    while True:
-        choice = choose_fourth(params, y, window)
-        if choice is not None:
-            break
-        window *= 2
-        if window > MAX_SCAN_WINDOW:
-            r = params.ratio
-            raise SearchExhausted(
-                "fourth-coordinate scan exhausted at window %d: y=%s sits "
-                "within %s of the boundary %s"
-                % (MAX_SCAN_WINDOW, y, y - (1 - r) ** 2, (1 - r) ** 2)
-            )
     r = params.ratio
+    choice = choose_fourth(params, y, MAX_SCAN_WINDOW)
+    if choice is None:
+        raise SearchExhausted(
+            "fourth-coordinate scan exhausted at window %d: y=%s sits "
+            "within %s of the boundary %s"
+            % (MAX_SCAN_WINDOW, y, y - (1 - r) ** 2, (1 - r) ** 2)
+        )
     power = choice.target.scale_power
     t = y - choice.value * choice.value
     t_base = t / r ** (2 * power)
@@ -482,20 +476,6 @@ def _expected_fourth_point(
     return None
 
 
-#: Rationals with a numerator or denominator longer than this many bits
-#: are described by their size in failure reasons: by default CPython
-#: refuses to convert an int of more than 4300 digits (~14,300 bits) to text.
-_REASON_BITS = 10_000
-
-
-def _brief(value: Rational) -> str:
-    """``str(value)``, or its size when its digits are too long to print."""
-    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-    if bits > _REASON_BITS:
-        return "<rational of %d bits>" % bits
-    return str(value)
-
-
 def _verify_zero_case(cert: Certificate) -> VerificationResult:
     """The ``x=0`` certificate: x, every value, the residual and the bound
     are zero, the trace is empty, and every point is zero, which for an
@@ -503,7 +483,7 @@ def _verify_zero_case(cert: Certificate) -> VerificationResult:
     digit adds a positive term) and the all-left tail."""
     reasons = []
     if cert.x != 0:
-        reasons.append("zero case with x=%s" % (_brief(cert.x),))
+        reasons.append("zero case with x=%s" % (brief(cert.x),))
     for pos, point in enumerate(cert.points):
         if point.tail != ALL_LEFT or point.prefix.strip("1"):
             reasons.append("point %d is not zero in the zero case" % (pos,))
@@ -533,9 +513,9 @@ def verify_certificate(params: CantorParams, cert: Certificate) -> VerificationR
 
     if cert.alpha != params.alpha:
         return fail("alpha mismatch: certificate %s, parameters %s"
-                    % (_brief(cert.alpha), _brief(params.alpha)))
+                    % (brief(cert.alpha), brief(params.alpha)))
     if not 0 <= cert.x <= 4:
-        return fail("x=%s outside [0, 4]" % (_brief(cert.x),))
+        return fail("x=%s outside [0, 4]" % (brief(cert.x),))
     if len(cert.points) != 4 or len(cert.values) != 4:
         return fail("certificate must list exactly 4 points and 4 values")
     if cert.depth < 0 or cert.scaling < 0:
@@ -585,18 +565,18 @@ def verify_certificate(params: CantorParams, cert: Certificate) -> VerificationR
         if recomputed != value:
             reasons.append(
                 "point %d value mismatch: word gives %s, certificate says %s"
-                % (pos, _brief(recomputed), _brief(value))
+                % (pos, brief(recomputed), brief(value))
             )
     residual = cert.x - sum((v * v for v in cert.values), Fraction(0))
     if residual != cert.residual:
         reasons.append(
             "residual mismatch: recomputed %s, certificate says %s"
-            % (_brief(residual), _brief(cert.residual))
+            % (brief(residual), brief(cert.residual))
         )
     if not 0 <= residual <= cert.bound:
         reasons.append(
             "residual %s outside [0, bound=%s]"
-            % (_brief(residual), _brief(cert.bound))
+            % (brief(residual), brief(cert.bound))
         )
     if reasons:
         return VerificationResult(False, tuple(reasons))
@@ -623,7 +603,7 @@ def verify_certificate(params: CantorParams, cert: Certificate) -> VerificationR
     base = band_interval(params, band)
     if not base.contains_value(t_base):
         return fail("reduced target %s outside the %s band"
-                    % (_brief(t_base), band.value))
+                    % (brief(t_base), band.value))
 
     try:
         box, img = _select_base(params, band, t_base)
@@ -657,7 +637,7 @@ def verify_certificate(params: CantorParams, cert: Certificate) -> VerificationR
     bound = r ** (2 * lift) * (img.hi - img.lo)
     if bound != cert.bound:
         return fail("bound mismatch: replay gives %s, certificate says %s"
-                    % (_brief(bound), _brief(cert.bound)))
+                    % (brief(bound), brief(cert.bound)))
     return VerificationResult(True, ())
 
 

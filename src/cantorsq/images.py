@@ -30,7 +30,7 @@ from typing import Optional
 
 from .errors import CapExceeded, InternalInconsistencyError
 from .ifs import CantorParams, _level_ints
-from .numerics import Interval, IntervalUnion, OpenInterval
+from .numerics import Interval, IntervalUnion, OpenInterval, brief
 
 #: Refuse requests that enumerate more boxes (multisets, or ordered pairs
 #: for diff) than this.
@@ -171,13 +171,14 @@ def image(request: ImageRequest, box_cap: Optional[int] = None) -> IntervalUnion
     # before its count is built.
     if request.level >= cap.bit_length():
         raise CapExceeded(
-            "image request enumerates at least 2^%d boxes, above the cap %d"
-            % (request.level, cap)
+            "image request enumerates at least 2^%d boxes, above the cap %s"
+            % (request.level, brief(cap))
         )
     count = enumeration_count(request)
     if count > cap:
         raise CapExceeded(
-            "image request enumerates %d boxes, above the cap %d" % (count, cap)
+            "image request enumerates %s boxes, above the cap %s"
+            % (brief(count), brief(cap))
         )
     return _image_core(request.params, request.level, request.arity, request.map_kind)
 

@@ -49,6 +49,20 @@ def rat(value: RationalLike) -> Rational:
     raise TypeError("cannot interpret %r as a rational" % (value,))
 
 
+#: Numbers with a numerator or denominator longer than this many bits are
+#: described by their size in messages: by default CPython refuses to
+#: convert an int of more than 4300 digits (~14,300 bits) to text.
+_BRIEF_BITS = 10_000
+
+
+def brief(value: Rational) -> str:
+    """``str(value)``, or its size when its digits are too long to print."""
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if bits > _BRIEF_BITS:
+        return "<number of %d bits>" % bits
+    return str(value)
+
+
 def decimal_preview(value: RationalLike, digits: int = 30) -> str:
     """Round ``value`` to ``digits`` significant digits, for display only."""
     q = rat(value)

@@ -1,10 +1,13 @@
 """The public API: its size, and the names the benchmark harness uses."""
 
+import argparse
+import inspect
 import os
 import re
 import sys
 
 import cantorsq
+from cantorsq import cli
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench")
@@ -57,3 +60,15 @@ def test_tracer_installs_and_uninstalls():
         assert getattr(module, attr) is originals[name], name
     for cls, attr, _ in tracing.METHODS.values():
         assert attr in vars(cls)
+
+
+def test_every_cli_option_is_read():
+    """Each subcommand accepts only options that its handler reads."""
+    parser = cli.build_parser()
+    [subparsers] = [action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    for name, sub in subparsers.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        for action in sub._actions:
+            if action.dest != "help":
+                assert "args.%s" % action.dest in source, (name, action.dest)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -215,7 +216,25 @@ class TestUsageErrors:
 
     def test_level_cap_flag(self, capsys):
         code, out = run_cli(capsys, "verify-lemmas", "--max-level", "3",
-                            "--level-cap", "4")
+                            "--box-cap", "4")
+        assert code == EXIT_USAGE
+        assert "cap" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--x", "1", "--seed", "5"],
+        ["decompose", "--x", "1", "--box-cap", "1"],
+        ["gap-check", "--level-cap", "0"],
+        ["verify", "FILE", "--alpha", "3"],
+    ])
+    def test_unread_option_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+    def test_large_lemma_sweep_refused_fast(self, capsys):
+        started = time.perf_counter()
+        code, out = run_cli(capsys, "verify-lemmas", "--max-level", "20")
+        assert time.perf_counter() - started < 1.0
         assert code == EXIT_USAGE
         assert "cap" in json.loads(out)["error"]["message"]
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import cantorsq.decompose
 from cantorsq import (
     ALL_LEFT,
     ALL_RIGHT,
@@ -229,6 +230,20 @@ class TestDecomposeFour:
     def test_thin_regime(self):
         with pytest.raises(ThinRegimeError):
             decompose_four(make_params(2), F(1, 2))
+
+    def test_single_scan_pass(self, params3, monkeypatch):
+        """A hit past the first 8 depths still takes one scan, not one per
+        window doubling."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return choose_fourth(*args)
+
+        monkeypatch.setattr(cantorsq.decompose, "choose_fourth", counted)
+        cert = decompose_four(params3, F(4, 9) + F(8, 9) * F(1, 9) ** 30, depth=1)
+        assert len(calls) == 1
+        assert cert.case == "edge0:main:30"
 
     def test_scan_budget_exhausted(self, params3):
         # sits closer to the scaling boundary than any in-budget window

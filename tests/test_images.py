@@ -263,6 +263,16 @@ class TestCaps:
         with pytest.raises(CapExceeded):
             image(ImageRequest(params3, 20_000, arity, kind))
 
+    def test_huge_count_and_cap(self):
+        """A count or cap past CPython's 4300-digit limit on printing ints
+        is described by its size."""
+        with pytest.raises(CapExceeded, match="bits"):
+            image(ImageRequest(make_params(3), 3600, 4, MapKind.SUM_OF_SQUARES),
+                  box_cap=10**1100)
+        with pytest.raises(CapExceeded, match="bits"):
+            image(ImageRequest(make_params(3), 20_000, 4, MapKind.SUM_OF_SQUARES),
+                  box_cap=10**5000)
+
 
 class TestCoverReport:
     def test_true_claim(self, params3):
