@@ -8,13 +8,8 @@ such as ``decompose.choose_fourth`` or ``lemmas.CHILD_INDICES`` are
 imported from their modules.
 """
 
-from .decompose import (
-    Band,
-    Certificate,
-    band_interval,
-    decompose_four,
-    verify_certificate,
-)
+from .certificate import Band, Certificate, band_interval, verify_certificate
+from .decompose import decompose_four
 from .errors import (
     CantorsqError,
     CapExceeded,

@@ -19,13 +19,8 @@ import sys
 import time
 from itertools import combinations_with_replacement
 
-from .decompose import (
-    Band,
-    Certificate,
-    band_interval,
-    decompose_four,
-    verify_certificate,
-)
+from .certificate import Band, Certificate, band_interval, verify_certificate
+from .decompose import decompose_four
 from .errors import (
     CapExceeded,
     InternalInconsistencyError,

@@ -1,11 +1,13 @@
-"""Four-square decompositions over the attractor, with checkable receipts.
+"""Four-square decompositions over the attractor.
 
 In the thick regime (alpha >= 3) every x in [0, 4] is a sum of four
 squares of attractor points.  This module makes that effective: it
-produces a :class:`Certificate` pinning down four explicit points, their
-exact values, and the exact residual left after subtracting their squares
-from x, together with the trace of choices that found them.  A separate
-verifier re-derives everything from the words in the certificate.
+produces a :class:`~cantorsq.certificate.Certificate` pinning down four
+explicit points, their exact values, and the exact residual left after
+subtracting their squares from x, together with the trace of choices
+that found them.  :func:`~cantorsq.certificate.verify_certificate`
+re-derives everything from the words in the certificate, without this
+module's arithmetic.
 
 The pipeline, all exact:
 
@@ -23,20 +25,24 @@ The pipeline, all exact:
      endpoints (right endpoints on an exact top hit) are attractor points
      whose squares sum to within ``bound`` of the target.
 
-Certificates: residual = x - sum of squares is always in [0, bound],
-with bound = 2*(u+v+w)*r^N + 3*r^(2N) for the final box, rescaled.  The
-JSON rendering is canonical, so equal certificates serialize to
-byte-identical files.
+``Band``, ``band_interval``, ``Certificate`` and ``verify_certificate``
+are importable from here as well as from :mod:`cantorsq.certificate`.
 """
 
 from __future__ import annotations
 
-import enum
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from .certificate import (
+    _ZERO_CASE,
+    Band,
+    Certificate,
+    _edge_candidates,
+    _select_base,
+    band_interval,
+)
+from .certificate import verify_certificate  # noqa: F401 (re-exported)
 from .errors import InternalInconsistencyError, SearchExhausted
 from .ifs import (
     ALL_LEFT,
@@ -45,45 +51,20 @@ from .ifs import (
     CantorPoint,
     word_from_left_endpoint,
 )
-from .lemmas import (
-    TripleBox,
-    base_boxes,
-    child_box,
-    refine_scaled,
-    scaled_box,
-)
-from .numerics import Interval, Rational, RationalLike, brief, rat
-
-CERTIFICATE_SCHEMA = "cantor-four-squares/1"
+from .lemmas import TripleBox, refine_scaled, scaled_box
+from .numerics import Frozen, Interval, Rational, RationalLike, rat
 
 #: Hard budget for the fourth-coordinate scan depth.
 MAX_SCAN_WINDOW = 4096
 
-_ZERO_CASE = "x=0"
 
-
-class Band(enum.Enum):
-    """The two interval families known to be filled by three squares."""
-
-    LOW = "low"
-    MAIN = "main"
-
-
-def band_interval(params: CantorParams, band: Band) -> Interval:
-    """Unscaled band: [a, b] for LOW, [2*(1-r)^2, 3] for MAIN."""
-    boxes = base_boxes(params)
-    if band is Band.LOW:
-        return boxes[2][1]
-    return Interval(boxes[0][1].lo, Fraction(3))
-
-
-@dataclass(frozen=True)
-class KnownInterval:
+class KnownInterval(Frozen):
     """One member of the known family: band scaled by r^(2*scale_power)."""
 
-    scale_power: int
-    band: Band
-    interval: Interval
+    __slots__ = _fields = ("scale_power", "band", "interval")
+
+    def __init__(self, scale_power: int, band: Band, interval: Interval) -> None:
+        self._set_fields(scale_power, band, interval)
 
 
 def scaling_reduce(params: CantorParams, x: RationalLike) -> Tuple[int, Rational]:
@@ -111,37 +92,15 @@ def scaling_reduce(params: CantorParams, x: RationalLike) -> Tuple[int, Rational
     return power, y
 
 
-def _edge_candidates(params: CantorParams, n: int) -> tuple:
-    """The three depth-n fourth-coordinate witnesses near the edge 1-r.
-
-    All are attractor points: the edge itself, the right endpoint of the
-    leftmost depth-2n descendant of the right half, and the left endpoint
-    of its depth-(2n-1) sibling one rung up.  Values:
-    1-r, 1-r + r^(2n), and 1-r + r^(2n-1) - r^(2n).
-    """
-    r = params.ratio
-    edge = 1 - r
-    return (
-        ("edge0", CantorPoint("2", ALL_LEFT), edge),
-        ("edge1", CantorPoint("2" + "1" * (2 * n - 1), ALL_RIGHT), edge + r ** (2 * n)),
-        (
-            "edge2",
-            CantorPoint("2" + "1" * (2 * n - 2) + "2", ALL_LEFT),
-            edge + r ** (2 * n - 1) - r ** (2 * n),
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class FourthChoice:
+class FourthChoice(Frozen):
     """A successful fourth-coordinate pick: the point, its exact value,
     the known interval hit by y - value^2, and a diagnostic case tag."""
 
-    kind: str
-    point: CantorPoint
-    value: Rational
-    target: KnownInterval
-    tag: str
+    __slots__ = _fields = ("kind", "point", "value", "target", "tag")
+
+    def __init__(self, kind: str, point: CantorPoint, value: Rational,
+                 target: KnownInterval, tag: str) -> None:
+        self._set_fields(kind, point, value, target, tag)
 
 
 def choose_fourth(
@@ -191,22 +150,6 @@ def choose_fourth(
     return None
 
 
-def _base_candidates(params: CantorParams, band: Band) -> tuple:
-    boxes = base_boxes(params)
-    if band is Band.LOW:
-        return (boxes[2],)
-    return (boxes[0], boxes[1])
-
-
-def _select_base(params: CantorParams, band: Band, target: Rational):
-    for box, img in _base_candidates(params, band):
-        if img.lo <= target <= img.hi:
-            return box, img
-    raise ValueError(
-        "target %s outside the %s band image" % (target, band.value)
-    )
-
-
 def _box_words(params: CantorParams, box: TripleBox) -> tuple:
     words = []
     for left in box.lefts:
@@ -219,14 +162,15 @@ def _box_words(params: CantorParams, box: TripleBox) -> tuple:
     return tuple(words)
 
 
-@dataclass(frozen=True)
-class ThreeSquareResult:
+class ThreeSquareResult(Frozen):
     """Outcome of following a target down ``depth`` subdivisions."""
 
-    points: tuple  # three CantorPoints
-    box: TripleBox
-    bound: Rational
-    trace: tuple  # ChildIndex per refinement step
+    __slots__ = _fields = ("points", "box", "bound", "trace")
+
+    def __init__(self, points: tuple, box: TripleBox, bound: Rational,
+                 trace: tuple) -> None:
+        # points: three CantorPoints; trace: a ChildIndex per refinement step
+        self._set_fields(points, box, bound, trace)
 
 
 def decompose_three(
@@ -266,113 +210,6 @@ def decompose_three(
         for pos, word in enumerate(words)
     )
     return ThreeSquareResult(points, box, img.hi - img.lo, tuple(trace))
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A verifiable four-square decomposition of x.
-
-    points/values order: the three band points first, the fourth
-    coordinate last.  ``scaling`` is the reduction exponent s, ``case``
-    records the fourth-coordinate pick as "kind:band:scale_power" (or
-    "x=0"), and ``trace`` lists the child-box choices at the band level.
-    Rebuilding with the same inputs reproduces the certificate bit for
-    bit, and :func:`Certificate.canonical_json` is byte-stable.
-    """
-
-    alpha: Rational
-    x: Rational
-    points: tuple
-    values: tuple
-    residual: Rational
-    bound: Rational
-    depth: int
-    scaling: int
-    case: str
-    trace: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": CERTIFICATE_SCHEMA,
-            "alpha": str(self.alpha),
-            "x": str(self.x),
-            "points": [p.to_json() for p in self.points],
-            "values": [str(v) for v in self.values],
-            "residual": str(self.residual),
-            "bound": str(self.bound),
-            "depth": self.depth,
-            "scaling": self.scaling,
-            "case": self.case,
-            "trace": ["".join(str(bit) for bit in idx) for idx in self.trace],
-        }
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Certificate":
-        """Parse a certificate, strictly: counts must be JSON integers
-        (not booleans), rationals and the case tag strings, and points,
-        values and trace lists; anything else raises ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError("certificate JSON must be an object")
-        if data.get("schema") != CERTIFICATE_SCHEMA:
-            raise ValueError(
-                "unsupported certificate schema %r" % (data.get("schema"),)
-            )
-        try:
-            points = tuple(
-                CantorPoint.from_json(p) for p in _json_field(data, "points", list)
-            )
-            values = tuple(
-                _json_rational(v, "values") for v in _json_field(data, "values", list)
-            )
-            trace = []
-            for item in _json_field(data, "trace", list):
-                if not isinstance(item, str) or len(item) != 3 or any(
-                    ch not in "01" for ch in item
-                ):
-                    raise ValueError("bad trace entry %r" % (item,))
-                trace.append(tuple(int(ch) for ch in item))
-            return cls(
-                alpha=_json_rational(data["alpha"], "alpha"),
-                x=_json_rational(data["x"], "x"),
-                points=points,
-                values=values,
-                residual=_json_rational(data["residual"], "residual"),
-                bound=_json_rational(data["bound"], "bound"),
-                depth=_json_field(data, "depth", int),
-                scaling=_json_field(data, "scaling", int),
-                case=_json_field(data, "case", str),
-                trace=tuple(trace),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError("malformed certificate: %s" % (exc,)) from exc
-
-
-_JSON_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list"}
-
-
-def _json_field(data: dict, key: str, kind: type):
-    """``data[key]``, required to be of JSON type ``kind``; booleans are
-    refused where an integer is expected."""
-    value = data[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(
-            "certificate field %r must be %s, got %r"
-            % (key, _JSON_TYPE_NAMES[kind], value)
-        )
-    return value
-
-
-def _json_rational(value, key: str) -> Rational:
-    if not isinstance(value, str):
-        raise ValueError(
-            "certificate field %r must hold rationals as strings, got %r"
-            % (key, value)
-        )
-    return rat(value)
 
 
 def decompose_four(
@@ -442,203 +279,6 @@ def decompose_four(
         case=choice.tag,
         trace=three.trace,
     )
-
-
-@dataclass(frozen=True)
-class VerificationResult:
-    ok: bool
-    reasons: tuple
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-_EDGE_KINDS = ("edge0", "edge1", "edge2")
-
-
-def _expected_fourth_point(
-    params: CantorParams, kind: str, band: Band, power: int
-) -> Optional[CantorPoint]:
-    """Unscaled fourth point demanded by a case tag, or None if the tag
-    combination is invalid."""
-    if kind == "one":
-        return CantorPoint("", ALL_RIGHT) if (band, power) == (Band.MAIN, 0) else None
-    if kind == "zero":
-        return CantorPoint("", ALL_LEFT) if (band, power) == (Band.MAIN, 0) else None
-    if kind in _EDGE_KINDS:
-        n = power + 1 if band is Band.LOW else power
-        if n < 1:
-            return None
-        for cand_kind, point, _ in _edge_candidates(params, n):
-            if cand_kind == kind:
-                return point
-        return None
-    return None
-
-
-def _verify_zero_case(cert: Certificate) -> VerificationResult:
-    """The ``x=0`` certificate: x, every value, the residual and the bound
-    are zero, the trace is empty, and every point is zero, which for an
-    attractor point means a prefix of left-map digits only (each right-map
-    digit adds a positive term) and the all-left tail."""
-    reasons = []
-    if cert.x != 0:
-        reasons.append("zero case with x=%s" % (brief(cert.x),))
-    for pos, point in enumerate(cert.points):
-        if point.tail != ALL_LEFT or point.prefix.strip("1"):
-            reasons.append("point %d is not zero in the zero case" % (pos,))
-    if (any(v != 0 for v in cert.values) or cert.residual != 0
-            or cert.bound != 0 or cert.trace):
-        reasons.append("zero case must have zero values, zero residual, "
-                       "zero bound and an empty trace")
-    return VerificationResult(not reasons, tuple(reasons))
-
-
-def verify_certificate(params: CantorParams, cert: Certificate) -> VerificationResult:
-    """Re-derive a certificate's claims from its words alone.
-
-    Recomputes every value from its digit word, the residual from the
-    values, and the bound and band membership by replaying the trace from
-    the seed box.  Shares none of the decomposer's arithmetic: this is
-    the independent audit path for certificates from untrusted sources.
-    The case tag, the prefix lengths and the trace length are checked
-    before any value is recomputed, and a failure never raises: reasons
-    describe rationals too long to print by their size.
-    """
-    reasons = []
-
-    def fail(msg: str) -> VerificationResult:
-        reasons.append(msg)
-        return VerificationResult(False, tuple(reasons))
-
-    if cert.alpha != params.alpha:
-        return fail("alpha mismatch: certificate %s, parameters %s"
-                    % (brief(cert.alpha), brief(params.alpha)))
-    if not 0 <= cert.x <= 4:
-        return fail("x=%s outside [0, 4]" % (brief(cert.x),))
-    if len(cert.points) != 4 or len(cert.values) != 4:
-        return fail("certificate must list exactly 4 points and 4 values")
-    if cert.depth < 0 or cert.scaling < 0:
-        return fail("negative depth or scaling")
-    if cert.case == _ZERO_CASE:
-        return _verify_zero_case(cert)
-
-    if not params.thick:
-        return fail("nonzero certificates require alpha >= 3")
-
-    pieces = cert.case.split(":")
-    if len(pieces) != 3:
-        return fail("malformed case tag %r" % (cert.case,))
-    kind, band_name, power_text = pieces
-    try:
-        band = Band(band_name)
-        power = int(power_text)
-    except ValueError:
-        return fail("malformed case tag %r" % (cert.case,))
-    if power < 0:
-        return fail("negative scale power in case tag")
-
-    # Structural checks first, so that no work below grows with a number
-    # the certificate merely states: every prefix length follows from the
-    # scaling, the case tag and the depth, and the trace has one entry
-    # per subdivision.  The fourth point's prefix is the scaling prefix
-    # plus the digits its case tag implies; a band point's prefix is the
-    # lift (scaling + power) plus its seed box's level plus the depth.
-    n = power + 1 if band is Band.LOW else power
-    tag_digits = {"one": 0, "zero": 0, "edge0": 1, "edge1": 2 * n, "edge2": 2 * n}
-    if kind not in tag_digits:
-        return fail("invalid case combination %r" % (cert.case,))
-    if len(cert.points[3].prefix) != cert.scaling + tag_digits[kind]:
-        return fail("fourth point does not match case tag %r" % (cert.case,))
-    seed_level = 2 if band is Band.LOW else 1
-    band_digits = cert.scaling + power + seed_level + cert.depth
-    for pos, point in enumerate(cert.points[:3]):
-        if len(point.prefix) != band_digits:
-            return fail("point %d prefix has %d digits; scaling, case tag and "
-                        "depth give %d" % (pos, len(point.prefix), band_digits))
-    if len(cert.trace) != cert.depth:
-        return fail("trace length %d does not match depth %d"
-                    % (len(cert.trace), cert.depth))
-
-    for pos, (point, value) in enumerate(zip(cert.points, cert.values)):
-        recomputed = point.value(params)
-        if recomputed != value:
-            reasons.append(
-                "point %d value mismatch: word gives %s, certificate says %s"
-                % (pos, brief(recomputed), brief(value))
-            )
-    residual = cert.x - sum((v * v for v in cert.values), Fraction(0))
-    if residual != cert.residual:
-        reasons.append(
-            "residual mismatch: recomputed %s, certificate says %s"
-            % (brief(residual), brief(cert.residual))
-        )
-    if not 0 <= residual <= cert.bound:
-        reasons.append(
-            "residual %s outside [0, bound=%s]"
-            % (brief(residual), brief(cert.bound))
-        )
-    if reasons:
-        return VerificationResult(False, tuple(reasons))
-
-    r = params.ratio
-    y = cert.x / r ** (2 * cert.scaling)
-    if not (1 - r) ** 2 < y <= 4:
-        return fail("scaling %d does not reduce x into ((1-r)^2, 4]"
-                    % (cert.scaling,))
-    if kind == "edge0":
-        # t = y - (1-r)^2 must satisfy t / r^(2*power) <= 3 with r < 1/2,
-        # so 4^power < 3/t, which bounds power by the bit lengths of t.
-        t = y - (1 - r) ** 2
-        if 2 * power > t.denominator.bit_length() - t.numerator.bit_length() + 3:
-            return fail("scale power %d too large for case tag %r"
-                        % (power, cert.case))
-
-    expected = _expected_fourth_point(params, kind, band, power)
-    if expected is None:
-        return fail("invalid case combination %r" % (cert.case,))
-    if cert.points[3] != expected.with_scaling_prefix(cert.scaling):
-        return fail("fourth point does not match case tag %r" % (cert.case,))
-    t_base = (y - expected.value(params) ** 2) / r ** (2 * power)
-    base = band_interval(params, band)
-    if not base.contains_value(t_base):
-        return fail("reduced target %s outside the %s band"
-                    % (brief(t_base), band.value))
-
-    try:
-        box, img = _select_base(params, band, t_base)
-    except ValueError as exc:
-        return fail(str(exc))
-    for step, index in enumerate(cert.trace):
-        if len(index) != 3 or any(bit not in (0, 1) for bit in index):
-            return fail("malformed trace entry %r at step %d" % (index, step))
-        box = child_box(params, box, index)
-        img = box.image(params)
-        if not img.contains_value(t_base):
-            return fail("target leaves the box image at step %d" % (step,))
-
-    lift = cert.scaling + power
-    prefix = "1" * lift
-    tails = {p.tail for p in cert.points[:3]}
-    if len(tails) != 1:
-        return fail("band points must share one tail")
-    tail = tails.pop()
-    if tail == ALL_RIGHT and t_base != img.hi:
-        return fail("right-endpoint tails without an exact top hit")
-    if tail == ALL_LEFT and t_base == img.hi:
-        return fail("exact top hit must use right-endpoint tails")
-    for pos, (point, left) in enumerate(zip(cert.points[:3], box.lefts)):
-        if not point.prefix.startswith(prefix):
-            return fail("point %d is missing the scaling prefix" % (pos,))
-        word = point.prefix[len(prefix):]
-        if word != word_from_left_endpoint(params, left, box.level):
-            return fail("point %d word does not match the replayed box" % (pos,))
-
-    bound = r ** (2 * lift) * (img.hi - img.lo)
-    if bound != cert.bound:
-        return fail("bound mismatch: replay gives %s, certificate says %s"
-                    % (brief(bound), brief(cert.bound)))
-    return VerificationResult(True, ())
 
 
 def fourth_window_margins(params: CantorParams, n: int) -> dict:

@@ -26,13 +26,20 @@ endpoints of every basic interval belong to the attractor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from .errors import CapExceeded, ThinRegimeError
-from .numerics import Interval, IntervalUnion, Rational, RationalLike, rat
+from .numerics import (
+    Frozen,
+    Interval,
+    IntervalUnion,
+    Rational,
+    RationalLike,
+    _setfield,
+    rat,
+)
 
 #: Refuse to enumerate a level with more than this many basic intervals.
 DEFAULT_LEVEL_CAP = 1 << 20
@@ -52,23 +59,22 @@ def check_word(word: str) -> str:
     return word
 
 
-@dataclass(frozen=True)
-class CantorParams:
+class CantorParams(Frozen):
     """Validated parameter pair (alpha, ratio) with ratio = (1 - 1/alpha)/2."""
 
-    alpha: Rational
-    ratio: Rational
+    __slots__ = _fields = ("alpha", "ratio")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", rat(self.alpha))
-        object.__setattr__(self, "ratio", rat(self.ratio))
-        if self.alpha <= 1:
-            raise ValueError("alpha must exceed 1, got %s" % (self.alpha,))
-        if self.ratio != (1 - 1 / self.alpha) / 2:
+    def __init__(self, alpha: RationalLike, ratio: RationalLike) -> None:
+        alpha = rat(alpha)
+        ratio = rat(ratio)
+        if alpha <= 1:
+            raise ValueError("alpha must exceed 1, got %s" % (alpha,))
+        if ratio != (1 - 1 / alpha) / 2:
             raise ValueError(
                 "inconsistent parameters: ratio %s does not match alpha %s"
-                % (self.ratio, self.alpha)
+                % (ratio, alpha)
             )
+        self._set_fields(alpha, ratio)
 
     @property
     def thick(self) -> bool:
@@ -186,17 +192,17 @@ def level_set(
     )
 
 
-@dataclass(frozen=True)
-class CantorPoint:
+class CantorPoint(Frozen):
     """An attractor point: finite prefix word plus constant infinite tail."""
 
-    prefix: str
-    tail: str
+    __slots__ = _fields = ("prefix", "tail")
 
-    def __post_init__(self) -> None:
-        check_word(self.prefix)
-        if self.tail not in (ALL_LEFT, ALL_RIGHT):
+    def __init__(self, prefix: str, tail: str) -> None:
+        check_word(prefix)
+        if tail not in (ALL_LEFT, ALL_RIGHT):
             raise ValueError("tail must be %r or %r" % (ALL_LEFT, ALL_RIGHT))
+        _setfield(self, "prefix", prefix)
+        _setfield(self, "tail", tail)
 
     def value(self, params: CantorParams) -> Rational:
         """Exact coordinate: the all-left tail pins the left endpoint of

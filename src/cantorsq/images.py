@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from .errors import CapExceeded, InternalInconsistencyError
 from .ifs import CantorParams, _level_ints
-from .numerics import Interval, IntervalUnion, OpenInterval, brief
+from .numerics import Frozen, Interval, IntervalUnion, OpenInterval, brief
 
 #: Refuse requests that enumerate more boxes (multisets, or ordered pairs
 #: for diff) than this.
@@ -48,22 +47,21 @@ class MapKind(enum.Enum):
     DIFFERENCE = "diff"
 
 
-@dataclass(frozen=True)
-class ImageRequest:
+class ImageRequest(Frozen):
     """Which image to compute: (params, level, arity, map kind)."""
 
-    params: CantorParams
-    level: int
-    arity: int
-    map_kind: MapKind
+    __slots__ = _fields = ("params", "level", "arity", "map_kind")
 
-    def __post_init__(self) -> None:
-        if self.level < 0:
+    def __init__(
+        self, params: CantorParams, level: int, arity: int, map_kind: MapKind
+    ) -> None:
+        if level < 0:
             raise ValueError("level must be nonnegative")
-        if not 1 <= self.arity <= 4:
-            raise ValueError("arity must be between 1 and 4, got %d" % self.arity)
-        if self.map_kind is MapKind.DIFFERENCE and self.arity != 2:
+        if not 1 <= arity <= 4:
+            raise ValueError("arity must be between 1 and 4, got %d" % arity)
+        if map_kind is MapKind.DIFFERENCE and arity != 2:
             raise ValueError("difference images are defined for arity 2 only")
+        self._set_fields(params, level, arity, map_kind)
 
 
 def enumeration_count(request: ImageRequest) -> int:
@@ -226,14 +224,16 @@ def gap_check(
     return gap
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(Frozen):
     """Per-level containment of a claimed union inside computed images."""
 
-    claimed: IntervalUnion
-    arity: int
-    map_kind: MapKind
-    rows: tuple  # ((level, contained), ...)
+    __slots__ = _fields = ("claimed", "arity", "map_kind", "rows")
+
+    def __init__(
+        self, claimed: IntervalUnion, arity: int, map_kind: MapKind, rows: tuple
+    ) -> None:
+        # rows: ((level, contained), ...)
+        self._set_fields(claimed, arity, map_kind, rows)
 
     @property
     def passed(self) -> bool:

@@ -28,14 +28,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
 from .errors import InternalInconsistencyError, ThinRegimeError
 from .ifs import CantorParams, word_from_left_endpoint
-from .numerics import Interval, IntervalUnion, Rational, box_sum_of_squares_image, rat
+from .numerics import (
+    Frozen,
+    Interval,
+    IntervalUnion,
+    Rational,
+    _setfield,
+    box_sum_of_squares_image,
+    rat,
+)
 
 ChildIndex = Tuple[int, int, int]
 
@@ -56,21 +63,21 @@ _CHAIN_PAIRS: tuple = (
 )
 
 
-@dataclass(frozen=True)
-class TripleBox:
+class TripleBox(Frozen):
     """Product of three level-``level`` basic intervals, by left endpoint."""
 
-    lefts: tuple
-    level: int
+    __slots__ = _fields = ("lefts", "level")
 
-    def __post_init__(self) -> None:
-        if len(self.lefts) != 3:
+    def __init__(self, lefts: tuple, level: int) -> None:
+        if len(lefts) != 3:
             raise ValueError("a triple box needs exactly 3 left endpoints")
-        object.__setattr__(self, "lefts", tuple(rat(x) for x in self.lefts))
-        if self.level < 0:
+        lefts = tuple(rat(x) for x in lefts)
+        if level < 0:
             raise ValueError("level must be nonnegative")
-        if any(x < 0 for x in self.lefts):
+        if any(x < 0 for x in lefts):
             raise ValueError("left endpoints must be nonnegative")
+        _setfield(self, "lefts", lefts)
+        _setfield(self, "level", level)
 
     def coordinate_sum(self) -> Rational:
         return sum(self.lefts, Fraction(0))
@@ -310,8 +317,7 @@ def base_box_condition_margins(params: CantorParams) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class OverlapMargins:
+class OverlapMargins(Frozen):
     """Exact overlap amounts that chain the 8 child images together.
 
     ``chain`` holds the six adjacent-pair margins (strictly positive for
@@ -320,8 +326,10 @@ class OverlapMargins:
     tiling condition holds.
     """
 
-    chain: tuple
-    join: Rational
+    __slots__ = _fields = ("chain", "join")
+
+    def __init__(self, chain: tuple, join: Rational) -> None:
+        self._set_fields(chain, join)
 
 
 def overlap_chain_margins(params: CantorParams, box: TripleBox) -> OverlapMargins:

@@ -11,12 +11,16 @@ significant digits for display.
 (lowest terms, positive denominator, arbitrary precision, exact field
 arithmetic and total order), so it is used directly as the ``Rational``
 type rather than wrapped.
+
+:class:`Frozen` is the base of every value class in the package:
+hand-written ``__slots__`` classes rather than ``dataclasses``, whose import
+chain (``inspect``, ``ast``, ``dis``) costs resident memory and whose
+generated ``__init__`` is slower than a written one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -71,18 +75,64 @@ def decimal_preview(value: RationalLike, digits: int = 30) -> str:
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-@dataclass(frozen=True)
-class Interval:
+_setfield = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``_fields``, stores them in
+    ``__slots__`` and sets them once in ``__init__``, with
+    :meth:`_set_fields` or, where construction is hot, one ``_setfield``
+    call per field.  Instances compare and hash as the tuple of their
+    fields, equal only instances of the same class, print as
+    ``Name(field=value, ...)`` and refuse to assign or delete attributes.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _setfield(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class Interval(Frozen):
     """A closed interval [lo, hi] with rational endpoints, lo <= hi."""
 
-    lo: Rational
-    hi: Rational
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", rat(self.lo))
-        object.__setattr__(self, "hi", rat(self.hi))
-        if self.lo > self.hi:
-            raise ValueError("empty interval: lo=%s > hi=%s" % (self.lo, self.hi))
+    def __init__(self, lo: RationalLike, hi: RationalLike) -> None:
+        lo = rat(lo)
+        hi = rat(hi)
+        if lo > hi:
+            raise ValueError("empty interval: lo=%s > hi=%s" % (lo, hi))
+        _setfield(self, "lo", lo)
+        _setfield(self, "hi", hi)
 
     def __repr__(self) -> str:
         return "Interval(%s, %s)" % (self.lo, self.hi)
@@ -133,8 +183,7 @@ def _normalized(intervals: Iterable[Interval]) -> tuple:
     return tuple(parts)
 
 
-@dataclass(frozen=True, init=False)
-class IntervalUnion:
+class IntervalUnion(Frozen):
     """A finite union of closed intervals, kept in normal form.
 
     Normal form: parts sorted by left endpoint and pairwise separated by
@@ -143,12 +192,13 @@ class IntervalUnion:
     compare equal.
     """
 
-    parts: tuple
+    __slots__ = ("parts", "_los")
+    _fields = ("parts",)
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
         parts = _normalized(intervals)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_los", tuple(p.lo for p in parts))
+        _setfield(self, "parts", parts)
+        _setfield(self, "_los", tuple(p.lo for p in parts))
 
     @property
     def is_empty(self) -> bool:
@@ -232,22 +282,18 @@ def box_sum_of_squares_image(box: Sequence[Interval]) -> Interval:
     return Interval(lo, hi)
 
 
-@dataclass(frozen=True)
-class OpenInterval:
+class OpenInterval(Frozen):
     """The closure of an interval plus strictness flags for each endpoint.
 
     Used to report open gaps exactly: the point set is (lo, hi) when both
     flags are set, with the closed variants available by clearing them.
     """
 
-    lo: Rational
-    hi: Rational
-    lo_strict: bool = True
-    hi_strict: bool = True
+    __slots__ = _fields = ("lo", "hi", "lo_strict", "hi_strict")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", rat(self.lo))
-        object.__setattr__(self, "hi", rat(self.hi))
+    def __init__(self, lo: RationalLike, hi: RationalLike,
+                 lo_strict: bool = True, hi_strict: bool = True) -> None:
+        self._set_fields(rat(lo), rat(hi), lo_strict, hi_strict)
 
     @property
     def is_empty(self) -> bool:

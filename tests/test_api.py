@@ -11,7 +11,8 @@ from cantorsq import cli
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench")
-SUBMODULES = {"cli", "decompose", "errors", "ifs", "images", "lemmas", "numerics"}
+SUBMODULES = {"certificate", "cli", "decompose", "errors", "ifs", "images", "lemmas",
+              "numerics"}
 
 
 def bench_names():

@@ -1,6 +1,5 @@
 """Four-square decomposition certificates and their independent audit."""
 
-import dataclasses
 import json
 import random
 import time
@@ -33,6 +32,13 @@ from cantorsq.decompose import (
 F = Fraction
 
 RATIO_GRID = [F(1, 3), F(3, 8), F(2, 5), F(9, 20), F(49, 100)]
+
+
+def rebuilt(cert, **changes):
+    """A new Certificate with ``cert``'s fields, ``changes`` replacing some."""
+    fields = {name: getattr(cert, name) for name in Certificate._fields}
+    fields.update(changes)
+    return Certificate(**fields)
 
 
 class TestBands:
@@ -320,7 +326,7 @@ class TestVerifier:
 
     def test_tampered_value(self, params3, cert):
         values = (F(1, 2),) + cert.values[1:]
-        bad = dataclasses.replace(cert, values=values)
+        bad = rebuilt(cert, values=values)
         result = verify_certificate(params3, bad)
         assert not result.ok
         assert any("value mismatch" in r for r in result.reasons)
@@ -329,7 +335,7 @@ class TestVerifier:
         first = cert.points[0]
         flipped = "2" if first.prefix[-1] == "1" else "1"
         points = (CantorPoint(first.prefix[:-1] + flipped, first.tail),) + cert.points[1:]
-        bad = dataclasses.replace(cert, points=points)
+        bad = rebuilt(cert, points=points)
         assert not verify_certificate(params3, bad).ok
 
     def test_tampered_tails(self, params3, cert):
@@ -338,47 +344,47 @@ class TestVerifier:
         ) + cert.points[3:]
         values = tuple(p.value(params3) for p in points)
         residual = cert.x - sum(v * v for v in values)
-        bad = dataclasses.replace(
+        bad = rebuilt(
             cert, points=points, values=values, residual=residual
         )
         result = verify_certificate(params3, bad)
         assert not result.ok
 
     def test_tampered_residual(self, params3, cert):
-        bad = dataclasses.replace(cert, residual=cert.residual + 1)
+        bad = rebuilt(cert, residual=cert.residual + 1)
         result = verify_certificate(params3, bad)
         assert not result.ok
         assert any("residual" in r for r in result.reasons)
 
     def test_tampered_bound(self, params3, cert):
-        bad = dataclasses.replace(cert, bound=cert.bound * 2)
+        bad = rebuilt(cert, bound=cert.bound * 2)
         result = verify_certificate(params3, bad)
         assert not result.ok
         assert any("bound" in r for r in result.reasons)
 
     def test_tampered_scaling(self, params3, cert):
-        bad = dataclasses.replace(cert, scaling=cert.scaling + 1)
+        bad = rebuilt(cert, scaling=cert.scaling + 1)
         assert not verify_certificate(params3, bad).ok
 
     def test_tampered_case(self, params3, cert):
         for case in ("edge0:main:1", "one:low:0", "garbage", "a:b:c"):
-            bad = dataclasses.replace(cert, case=case)
+            bad = rebuilt(cert, case=case)
             assert not verify_certificate(params3, bad).ok
 
     def test_tampered_trace(self, params3, cert):
         flipped = tuple(1 - b for b in cert.trace[5])
         trace = cert.trace[:5] + (flipped,) + cert.trace[6:]
-        bad = dataclasses.replace(cert, trace=trace)
+        bad = rebuilt(cert, trace=trace)
         assert not verify_certificate(params3, bad).ok
 
     def test_truncated_trace(self, params3, cert):
-        bad = dataclasses.replace(cert, trace=cert.trace[:-1])
+        bad = rebuilt(cert, trace=cert.trace[:-1])
         result = verify_certificate(params3, bad)
         assert not result.ok
         assert any("trace length" in r for r in result.reasons)
 
     def test_x_out_of_range(self, params3, cert):
-        bad = dataclasses.replace(cert, x=F(9, 2))
+        bad = rebuilt(cert, x=F(9, 2))
         assert not verify_certificate(params3, bad).ok
 
     @pytest.mark.parametrize("x, kind", [
@@ -388,7 +394,7 @@ class TestVerifier:
         cert = decompose_four(params3, x, depth=4)
         assert cert.case.startswith(kind + ":")
         for band in ("low", "main"):
-            bad = dataclasses.replace(cert, case="%s:%s:%d" % (kind, band, 10**7))
+            bad = rebuilt(cert, case="%s:%s:%d" % (kind, band, 10**7))
             start = time.perf_counter()
             result = verify_certificate(params3, bad)
             elapsed = time.perf_counter() - start
@@ -397,15 +403,15 @@ class TestVerifier:
 
     def test_zero_case_must_be_zero(self, params3):
         cert = decompose_four(params3, 0)
-        bad = dataclasses.replace(cert, x=F(1, 9))
+        bad = rebuilt(cert, x=F(1, 9))
         assert not verify_certificate(params3, bad).ok
 
     def test_zero_case_points(self, params3):
         cert = decompose_four(params3, 0)
         left = (CantorPoint("111", ALL_LEFT),) + cert.points[1:]
-        assert verify_certificate(params3, dataclasses.replace(cert, points=left)).ok
+        assert verify_certificate(params3, rebuilt(cert, points=left)).ok
         for point in (CantorPoint("112", ALL_LEFT), CantorPoint("", ALL_RIGHT)):
-            bad = dataclasses.replace(cert, points=(point,) + cert.points[1:])
+            bad = rebuilt(cert, points=(point,) + cert.points[1:])
             result = verify_certificate(params3, bad)
             assert not result.ok
             assert "point 0" in result.reasons[0]
@@ -420,7 +426,7 @@ class TestVerifier:
                         .translate(to_digits), point.tail)
             for point in cert.points
         )
-        return dataclasses.replace(cert, points=points)
+        return rebuilt(cert, points=points)
 
     def test_long_prefixes_fail_cleanly(self, params3):
         cert = decompose_four(params3, F(7, 13), depth=4)
@@ -440,7 +446,7 @@ class TestVerifier:
 
     def test_huge_stated_value_fails_cleanly(self, params3, cert):
         values = (F(1, 10**5000),) + cert.values[1:]
-        result = verify_certificate(params3, dataclasses.replace(cert, values=values))
+        result = verify_certificate(params3, rebuilt(cert, values=values))
         assert not result.ok
         assert any("value mismatch" in r and "bits>" in r for r in result.reasons)
 
