@@ -233,10 +233,14 @@ def _verify_zero_case(cert: Certificate) -> VerificationResult:
     """The ``x=0`` certificate: x, every value, the residual and the bound
     are zero, the trace is empty, and every point is zero, which for an
     attractor point means a prefix of left-map digits only (each right-map
-    digit adds a positive term) and the all-left tail."""
+    digit adds a positive term) and the all-left tail.  Zero needs no
+    scaling, and the decomposer writes scaling 0, so any other value is
+    rejected: x = 0 has one certificate per depth."""
     reasons = []
     if cert.x != 0:
         reasons.append("zero case with x=%s" % (brief(cert.x),))
+    if cert.scaling != 0:
+        reasons.append("zero case with scaling %d, not 0" % (cert.scaling,))
     for pos, point in enumerate(cert.points):
         if point.tail != ALL_LEFT or point.prefix.strip("1"):
             reasons.append("point %d is not zero in the zero case" % (pos,))

@@ -108,13 +108,14 @@ def cmd_image(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     union = image(request, args.box_cap)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    measure = union.measure()
     payload = {
         "alpha": str(params.alpha),
         "level": args.level,
         "arity": args.arity,
         "map": request.map_kind.value,
         "union": union.to_json(),
-        "measure": str(union.measure()),
+        "measure": str(measure),
         "boxes_enumerated": enumeration_count(request),
     }
     if args.output == "json":
@@ -131,8 +132,7 @@ def cmd_image(args: argparse.Namespace) -> int:
             )
         print(
             "measure %s ~ %s, %d boxes"
-            % (union.measure(), _preview(union.measure()),
-               payload["boxes_enumerated"])
+            % (measure, _preview(measure), payload["boxes_enumerated"])
         )
     print("elapsed_ms %.3f" % elapsed_ms, file=sys.stderr)
     return EXIT_OK

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from .errors import CapExceeded, InternalInconsistencyError
 from .ifs import CantorParams, _level_ints
-from .numerics import Frozen, Interval, IntervalUnion, OpenInterval, brief
+from .numerics import Frozen, IntervalUnion, OpenInterval, _sweep, brief
 
 #: Refuse requests that enumerate more boxes (multisets, or ordered pairs
 #: for diff) than this.
@@ -77,18 +78,6 @@ def enumeration_count(request: ImageRequest) -> int:
     return math.comb(pieces + request.arity - 1, request.arity)
 
 
-def _sweep(sorted_pairs: list) -> list:
-    """Merge a lo-sorted list of closed (lo, hi) int pairs."""
-    merged: list = []
-    for lo, hi in sorted_pairs:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
 def _self_similar(
     base: tuple, shifts: range, p: int, q: int, level: int
 ) -> list:
@@ -113,14 +102,64 @@ def _self_similar(
 
 
 def _minkowski(left: list, right: list, multisets: bool = False) -> list:
-    """Merged union of u + v over the lo-sorted closed int pairs u in
-    ``left`` and v in ``right``; with ``multisets`` (left is right) only
-    pairs with v at or after u, since the sum is symmetric."""
-    pairs: list = []
-    limit = _SWEEP_BLOCK
+    """Merged union of u + v over the merged closed int pairs u in ``left``
+    and v in ``right``; with ``multisets`` (left is right) only pairs with
+    v at or after u, since the sum is symmetric.
+
+    Each row u + right is sorted in both endpoints, so against the union
+    M merged so far a row splits into runs: a run that ends inside one
+    part of M adds nothing and is skipped with one bisect on right's his,
+    and the run up to M's next part is pending as a whole, found with one
+    bisect on right's los.  Rows go u descending, widest first for
+    squares, so M soon covers most of each row; pending pairs merge into
+    M once they outnumber its parts.  A row then costs about one step per
+    part of M it meets, which loses to plain appending on thin unions:
+    once M has more parts than ``right`` has pairs, :func:`_plain_rows`
+    takes the remaining rows.
+    """
+    los = [lo for lo, _ in right]
+    his = [hi for _, hi in right]
+    width = len(right)
+    merged: list = []
+    mlos: list = []
+    mhis: list = []
+    pending: list = []
+    for i in range(len(left) - 1, -1, -1):
+        if len(merged) > width:
+            return _plain_rows(left[:i + 1], los, his, multisets, pending + merged)
+        ulo, uhi = left[i]
+        j = i if multisets else 0
+        while j < width:
+            lo = ulo + los[j]
+            k = bisect_right(mlos, lo)
+            if k and lo <= mhis[k - 1]:
+                j = bisect_right(his, mhis[k - 1] - uhi, j)
+            end = bisect_left(los, mlos[k] - ulo, j) if k < len(mlos) else width
+            if j < end:
+                pending.extend(zip(map(ulo.__add__, los[j:end]),
+                                   map(uhi.__add__, his[j:end])))
+                j = end
+        if len(pending) > len(merged):
+            merged = _sweep(sorted(pending + merged))
+            mlos = [lo for lo, _ in merged]
+            mhis = [hi for _, hi in merged]
+            pending = []
+    return _sweep(sorted(pending + merged))
+
+
+def _plain_rows(
+    left: list, los: list, his: list, multisets: bool, pairs: list
+) -> list:
+    """Merged union of ``pairs`` and the rows u + right over u in
+    ``left``, with right given by its endpoint lists ``los`` and ``his``
+    (each row from u's index on, with ``multisets``).  The list is swept
+    each time it grows by _SWEEP_BLOCK pairs, so memory stays bounded by
+    the merged result plus one block."""
+    limit = len(pairs) + _SWEEP_BLOCK
     for i, (ulo, uhi) in enumerate(left):
-        row = right[i:] if multisets else right
-        pairs.extend((ulo + vlo, uhi + vhi) for vlo, vhi in row)
+        start = i if multisets else 0
+        pairs.extend(zip(map(ulo.__add__, los[start:]),
+                         map(uhi.__add__, his[start:])))
         if len(pairs) >= limit:
             pairs.sort()
             pairs = _sweep(pairs)
@@ -148,9 +187,7 @@ def _image_core(
     else:
         den = q**level
         pairs = _self_similar((-1, 1), range(-1, 2), p, q, level)
-    return IntervalUnion(
-        Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in pairs
-    )
+    return IntervalUnion._from_merged(pairs, den)
 
 
 def image(request: ImageRequest, box_cap: Optional[int] = None) -> IntervalUnion:

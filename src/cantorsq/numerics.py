@@ -23,6 +23,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import lcm
+from operator import ge, gt
 from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Fraction
@@ -76,6 +78,7 @@ def decimal_preview(value: RationalLike, digits: int = 30) -> str:
 
 
 _setfield = object.__setattr__
+_new = object.__new__
 
 
 class Frozen:
@@ -171,16 +174,32 @@ class Interval(Frozen):
         return cls(rat(data[0]), rat(data[1]))
 
 
-def _normalized(intervals: Iterable[Interval]) -> tuple:
-    parts: list = []
-    for iv in sorted(intervals, key=lambda iv: (iv.lo, iv.hi)):
-        if parts and iv.lo <= parts[-1].hi:
-            # Overlapping or touching: closed intervals merge.
-            if iv.hi > parts[-1].hi:
-                parts[-1] = Interval(parts[-1].lo, iv.hi)
-        else:
-            parts.append(iv)
-    return tuple(parts)
+def _sweep(sorted_pairs: Iterable[tuple]) -> list:
+    """Merge closed (lo, hi) pairs, sorted by lo, into the normal form of
+    their union: overlapping or touching pairs merge, so the parts are
+    separated by strict gaps.  Works on ints and Fractions alike."""
+    pairs = iter(sorted_pairs)
+    first = next(pairs, None)
+    if first is None:
+        return []
+    lo, hi = first
+    merged: list = []
+    for next_lo, next_hi in pairs:
+        if next_lo > hi:
+            merged.append((lo, hi))
+            lo, hi = next_lo, next_hi
+        elif next_hi > hi:
+            hi = next_hi
+    merged.append((lo, hi))
+    return merged
+
+
+def _interval(lo: Rational, hi: Rational) -> Interval:
+    """An Interval of checked Fractions lo <= hi, without re-checking."""
+    iv = _new(Interval)
+    _setfield(iv, "lo", lo)
+    _setfield(iv, "hi", hi)
+    return iv
 
 
 class IntervalUnion(Frozen):
@@ -196,9 +215,28 @@ class IntervalUnion(Frozen):
     _fields = ("parts",)
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
-        parts = _normalized(intervals)
-        _setfield(self, "parts", parts)
-        _setfield(self, "_los", tuple(p.lo for p in parts))
+        merged = _sweep(sorted([(iv.lo, iv.hi) for iv in intervals]))
+        _setfield(self, "parts", tuple([_interval(lo, hi) for lo, hi in merged]))
+        _setfield(self, "_los", tuple([lo for lo, _ in merged]))
+
+    @classmethod
+    def _from_merged(cls, pairs: Sequence[tuple], den: int) -> "IntervalUnion":
+        """The union of [lo/den, hi/den] over int pairs already in normal
+        form: lo <= hi, and each part ends strictly before the next starts.
+
+        Checks that order once, on the ints, instead of sorting and merging
+        again; raises ValueError if it does not hold.
+        """
+        los = [lo for lo, _ in pairs]
+        his = [hi for _, hi in pairs]
+        if any(map(gt, los, his)) or any(map(ge, his, los[1:])):
+            raise ValueError("parts are not sorted and separated by gaps")
+        los = [Fraction(lo, den) for lo in los]
+        his = [Fraction(hi, den) for hi in his]
+        union = _new(cls)
+        _setfield(union, "parts", tuple(map(_interval, los, his)))
+        _setfield(union, "_los", tuple(los))
+        return union
 
     @property
     def is_empty(self) -> bool:
@@ -250,7 +288,14 @@ class IntervalUnion(Frozen):
 
     def measure(self) -> Rational:
         """Total length (Lebesgue measure) of the union."""
-        return sum((p.length() for p in self.parts), Fraction(0))
+        # One integer sum over a common denominator rather than a
+        # Fraction sum, which takes a gcd per part.
+        den = lcm(*{end.denominator for p in self.parts for end in (p.lo, p.hi)})
+        return Fraction(sum([
+            p.hi.numerator * (den // p.hi.denominator)
+            - p.lo.numerator * (den // p.lo.denominator)
+            for p in self.parts
+        ]), den)
 
     def hull(self):
         if self.is_empty:

@@ -406,6 +406,13 @@ class TestVerifier:
         bad = rebuilt(cert, x=F(1, 9))
         assert not verify_certificate(params3, bad).ok
 
+    @pytest.mark.parametrize("scaling", [1, 5])
+    def test_zero_case_scaling(self, params3, scaling):
+        """x = 0 is written with scaling 0; no other scaling verifies."""
+        cert = rebuilt(decompose_four(params3, 0, 7), scaling=scaling)
+        result = verify_certificate(params3, cert)
+        assert result.reasons == ("zero case with scaling %d, not 0" % scaling,)
+
     def test_zero_case_points(self, params3):
         cert = decompose_four(params3, 0)
         left = (CantorPoint("111", ALL_LEFT),) + cert.points[1:]

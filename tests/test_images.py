@@ -7,6 +7,8 @@ symmetric maps and ordered pairs for diff.  Agreement of the two is the
 point of the module.
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +35,8 @@ from cantorsq import (
     nestedness_check,
     params_from_ratio,
 )
+from cantorsq.ifs import _level_ints
+from cantorsq.images import _minkowski
 
 F = Fraction
 
@@ -66,6 +70,19 @@ def brute_image(params, level, arity, kind):
             for b in pts:
                 pieces.append(Interval(a - b - width, a - b + width))
     return IntervalUnion(pieces)
+
+
+def plain_rows_spy(monkeypatch):
+    """Patch ``images._plain_rows`` to record how many rows it takes."""
+    calls = []
+    plain = cantorsq.images._plain_rows
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return plain(*args)
+
+    monkeypatch.setattr(cantorsq.images, "_plain_rows", spy)
+    return calls
 
 
 class TestRequestValidation:
@@ -188,8 +205,11 @@ class TestOracleSweep:
 
     @pytest.mark.parametrize("ratio", [F(1, 3), F(1, 4)], ids=str)
     def test_blocked_sweeps(self, monkeypatch, ratio):
-        """Sweeping the pair list every few pairs gives the same union."""
+        """Sweeping the pair list every few pairs gives the same union.  At
+        ratio 1/4 the union outgrows a row, so the fold reaches the plain
+        path that sweeps in blocks; at 1/3 it keeps skipping."""
         monkeypatch.setattr(cantorsq.images, "_SWEEP_BLOCK", 5)
+        calls = plain_rows_spy(monkeypatch)
         cantorsq.images._image_core.cache_clear()
         params = params_from_ratio(ratio)
         try:
@@ -199,6 +219,7 @@ class TestOracleSweep:
                     params, 3, arity, MapKind.SUM_OF_SQUARES).parts
         finally:
             cantorsq.images._image_core.cache_clear()
+        assert bool(calls) == (ratio == F(1, 4))
 
     @pytest.mark.parametrize("kind", [MapKind.SUM, MapKind.DIFFERENCE])
     def test_endpoints_beyond_int64(self, kind):
@@ -207,6 +228,141 @@ class TestOracleSweep:
         assert params.ratio.denominator ** 7 > 1 << 62
         got = image(ImageRequest(params, 7, 2, kind))
         assert got.parts == brute_image(params, 7, 2, kind).parts
+
+
+def squares_at(ratio, level):
+    """The level's squared basic intervals as int pairs scaled by q^(2n)."""
+    params = params_from_ratio(ratio)
+    width = ratio.numerator ** level
+    return [(a * a, (a + width) ** 2) for a in _level_ints(params, level)]
+
+
+def all_pairs_fold(left, right, multisets):
+    """Every pair u + v, sorted and swept: the fold without any skipping."""
+    pairs = sorted(
+        (ulo + vlo, uhi + vhi)
+        for i, (ulo, uhi) in enumerate(left)
+        for vlo, vhi in (right[i:] if multisets else right)
+    )
+    merged = []
+    for lo, hi in pairs:
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [tuple(part) for part in merged]
+
+
+def folds_alike(ratio, level, arity, multisets):
+    """Fold ``arity`` copies of the squares both ways, addition by
+    addition; returns the last union."""
+    squares = squares_at(ratio, level)
+    union = squares
+    for step in range(arity - 1):
+        symmetric = multisets and step == 0
+        got = _minkowski(union, squares, symmetric)
+        assert got == all_pairs_fold(union, squares, symmetric), (
+            ratio, level, arity, multisets, step)
+        union = got
+    return union
+
+
+class TestMinkowskiFold:
+    """The output-sensitive fold against the plain sweep of every pair."""
+
+    #: Thick and thin ratios: at 1/4 and 1/5 the union outgrows a row, so
+    #: later rows take the plain path.
+    RATIOS = (F(1, 3), F(1, 4), F(2, 5), F(49, 100), F(1, 5), F(3, 7))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ratio=st.one_of(
+            st.sampled_from(RATIOS),
+            st.integers(3, 40).flatmap(
+                lambda q: st.integers(1, (q - 1) // 2).map(lambda p: F(p, q))
+            ),
+        ),
+        level=st.integers(0, 6),
+        arity=st.integers(2, 4),
+        multisets=st.booleans(),
+    )
+    def test_random_folds(self, ratio, level, arity, multisets):
+        folds_alike(ratio, level, arity, multisets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 6)), max_size=12),
+           st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 6)), max_size=12),
+           st.booleans())
+    def test_small_integer_unions(self, left, right, multisets):
+        """Any merged unions fold alike, and at this scale an endpoint off
+        by one changes the union."""
+        # Adding {0} merges the drawn pairs.
+        left = all_pairs_fold([(lo, lo + w) for lo, w in left], [(0, 0)], False)
+        right = all_pairs_fold([(lo, lo + w) for lo, w in right], [(0, 0)], False)
+        if multisets:
+            left = right
+        assert _minkowski(left, right, multisets) == all_pairs_fold(
+            left, right, multisets)
+
+    @pytest.mark.parametrize("ratio, falls_back", [
+        (F(1, 3), False), (F(49, 100), False), (F(1, 4), True), (F(1, 5), True),
+    ], ids=str)
+    def test_both_sides_of_the_fallback(self, monkeypatch, ratio, falls_back):
+        """Thick unions stay below a row's length and keep skipping; thin
+        ones outgrow it and finish on the plain path."""
+        calls = plain_rows_spy(monkeypatch)
+        for multisets in (True, False):
+            folds_alike(ratio, 6, 2, multisets)
+        assert bool(calls) == falls_back
+
+    def test_work_is_output_sensitive(self, monkeypatch):
+        """At alpha 10, sq arity 2 at level 9 has one output part: the fold
+        passes fewer than 8 * 2^9 pairs to the merge routine (3,536: 2,441
+        pending, the rest the merged union at each re-merge), where the
+        all-pairs fold forms all 131,328 pairs i <= j."""
+        swept = []
+        sweep = cantorsq.images._sweep
+
+        def spy(pairs):
+            swept.append(len(pairs))
+            return sweep(pairs)
+
+        monkeypatch.setattr(cantorsq.images, "_sweep", spy)
+        cantorsq.images._image_core.cache_clear()
+        try:
+            request = ImageRequest(make_params(10), 9, 2, MapKind.SUM_OF_SQUARES)
+            assert image(request).parts == (Interval(0, 2),)
+        finally:
+            cantorsq.images._image_core.cache_clear()
+        assert 0 < sum(swept) < 8 * 2**9
+
+
+#: The ``image`` benchmark's requests: (kind, arity) -> levels for thick
+#: alphas 3, 4, 10 and thin alphas 2, 5/2.
+PINNED_THICK = {("sq", 2): range(6, 10), ("sq", 3): range(4, 7),
+                ("sq", 4): range(3, 6), ("sum", 2): range(7, 11),
+                ("sum", 3): range(5, 8), ("diff", 2): range(7, 11)}
+PINNED_THIN = {("sq", 2): range(6, 9), ("sq", 3): range(4, 7),
+               ("sq", 4): range(3, 6), ("sum", 2): range(6, 9),
+               ("sum", 3): range(5, 8), ("diff", 2): range(6, 9)}
+PINNED_PLAN = ((F(3), PINNED_THICK), (F(4), PINNED_THICK), (F(10), PINNED_THICK),
+               (F(2), PINNED_THIN), (F(5, 2), PINNED_THIN))
+PINNED_SHA256 = "13493f81420162e9e3ea8ba7274da6067b7807a7afcda704f498ee530717a2cb"
+
+
+def test_pinned_image_outputs():
+    """The SHA-256 of ``[[alpha, kind, arity, level, union JSON], ...]``
+    over the plan, as compact JSON, is the one of the all-pairs fold that
+    the output-sensitive fold replaced."""
+    records = []
+    for alpha, plan in PINNED_PLAN:
+        params = make_params(alpha)
+        for (kind, arity), levels in plan.items():
+            for level in levels:
+                union = image(ImageRequest(params, level, arity, MapKind(kind)))
+                records.append([str(alpha), kind, arity, level, union.to_json()])
+    text = json.dumps(records, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
 
 
 class TestNestedness:

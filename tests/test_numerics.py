@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cantorsq import Interval, IntervalUnion, rat
 from cantorsq.numerics import (
@@ -136,6 +138,43 @@ class TestIntervalUnion:
         assert data == [["0", "1/9"], ["4/9", "1"]]
         assert IntervalUnion.from_json(data).parts == u.parts
         assert IntervalUnion.from_json([]).is_empty
+
+
+class TestFromMerged:
+    """``IntervalUnion._from_merged``: int pairs already in normal form,
+    over one denominator, checked once and never merged again."""
+
+    def test_matches_the_normalizing_constructor(self):
+        pairs = [(-3, 0), (2, 2), (4, 9)]
+        union = IntervalUnion._from_merged(pairs, 6)
+        assert union == IntervalUnion(
+            Interval(Fraction(lo, 6), Fraction(hi, 6)) for lo, hi in pairs)
+        assert union.parts[2] == Interval(Fraction(2, 3), Fraction(3, 2))
+        assert union.contains_value(Fraction(1, 3))
+        assert not union.contains_value(Fraction(1, 6))
+        assert IntervalUnion._from_merged([], 7).is_empty
+
+    @pytest.mark.parametrize("pairs", [
+        [(2, 3), (0, 1)],          # unsorted
+        [(0, 1), (1, 2)],          # touching
+        [(0, 2), (1, 3)],          # overlapping
+        [(0, 1), (2, 5), (4, 6)],  # overlapping further on
+        [(3, 1)],                  # reversed part
+    ])
+    def test_rejects_parts_out_of_normal_form(self, pairs):
+        with pytest.raises(ValueError):
+            IntervalUnion._from_merged(pairs, 3)
+
+
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+
+
+@given(st.lists(st.tuples(fractions, fractions), max_size=12))
+def test_measure_is_the_sum_of_lengths(ends):
+    """The integer sum over a common denominator equals the Fraction sum
+    of the merged parts' lengths."""
+    union = IntervalUnion(Interval(min(a, b), max(a, b)) for a, b in ends)
+    assert union.measure() == sum((p.hi - p.lo for p in union), Fraction(0))
 
 
 class TestBoxSumOfSquares:
